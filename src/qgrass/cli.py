@@ -72,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     groebner.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
 
     check = sub.add_parser("sagbi-check", help="subduct every incomparable product")
-    check.add_argument("--jobs", type=int, default=1)
+    check.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes, >= 1 (capped at the CPU count and the number of pairs)",
+    )
 
     syz = sub.add_parser("syzygy", help="skew (w) or lifted (v) syzygy of a two-row tableau")
     syz.add_argument("kind", choices=["w", "v"])

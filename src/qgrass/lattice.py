@@ -200,6 +200,17 @@ def from_young(j: YoungSeq, ctx: Context) -> PluckerVar:
     return PluckerVar(tuple(high + low), ctx.p * l + len(high))
 
 
+def sort_sign(seq) -> int:
+    """Sign of the permutation sorting seq (entries assumed distinct)."""
+    inv = sum(
+        1
+        for i in range(len(seq))
+        for j in range(i + 1, len(seq))
+        if seq[i] > seq[j]
+    )
+    return -1 if inv % 2 else 1
+
+
 def young_rank(j: YoungSeq) -> int:
     return sum(x - i for i, x in enumerate(j.entries, start=1))
 

@@ -24,16 +24,6 @@ SpecMask = frozenset  # specialization mask: the XVar triples forced to zero
 EMPTY_MASK: SpecMask = frozenset()
 
 
-def _sort_sign(seq) -> int:
-    """Sign of the permutation sorting seq (entries assumed distinct)."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def residue(c: int, width: int) -> int:
     """Column residue of a stacked column index, represented in [1, width]."""
     return (c - 1) % width + 1
@@ -132,7 +122,7 @@ def chi(u: PluckerVar, ctx: Context) -> Polynomial:
 
 def epsilon(j: YoungSeq, ctx: Context) -> int:
     """Sign of the permutation sorting the column residues of the sequence."""
-    return _sort_sign([residue(x, ctx.width) for x in j.entries])
+    return lattice.sort_sign([residue(x, ctx.width) for x in j.entries])
 
 
 def pi(u: PluckerVar, ctx: Context) -> Polynomial:

@@ -203,9 +203,6 @@ class Polynomial:
     def coefficient(self, mono: Mono) -> Coeff:
         return self.terms.get(mono, 0)
 
-    def variables(self) -> set:
-        return {v for m in self.terms for v, _ in m}
-
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"
 
@@ -241,8 +238,10 @@ class TermOrder:
 
     def __init__(self, var_key: Callable):
         self.var_key = var_key
+        self._var_keys: dict = {}
 
     def compare(self, a: Mono, b: Mono) -> int:
+        """-1, 0 or 1 as a < b, a == b, a > b: the order's reference definition."""
         if a == b:
             return 0
         da, db = mono_deg(a), mono_deg(b)
@@ -255,23 +254,37 @@ class TermOrder:
                 return 1 if xa < xb else -1
         return 0
 
-    def max(self, a: Mono, b: Mono) -> Mono:
-        return a if self.compare(a, b) >= 0 else b
+    def key(self, m: Mono):
+        """Sort key agreeing with compare: key(a) < key(b) iff a < b.
+
+        Degree first, then the (variable key, -exponent) pairs in ascending
+        variable order compared lexicographically: at the first variable
+        where two monomials of equal degree differ, a smaller exponent (or
+        the variable's absence) makes the larger monomial.  Variable keys
+        are memoized per variable.
+        """
+        keys = self._var_keys
+        pairs = []
+        deg = 0
+        for v, e in m:
+            k = keys.get(v)
+            if k is None:
+                k = keys[v] = self.var_key(v)
+            pairs.append((k, -e))
+            deg += e
+        pairs.sort()
+        return deg, pairs
 
     def leading_term(self, poly: Polynomial) -> Optional[tuple[Coeff, Mono]]:
         """(coefficient, monomial) of the largest term; None for zero."""
-        best = None
-        for m in poly.terms:
-            if best is None or self.compare(m, best) > 0:
-                best = m
-        if best is None:
+        if not poly.terms:
             return None
+        best = max(poly.terms, key=self.key)
         return poly.terms[best], best
 
     def sorted_terms(self, poly: Polynomial) -> list[tuple[Mono, Coeff]]:
         """Terms in strictly descending order."""
-        key = functools.cmp_to_key(self.compare)
-        return [(m, poly.terms[m]) for m in sorted(poly.terms, key=key, reverse=True)]
+        return [(m, poly.terms[m]) for m in sorted(poly.terms, key=self.key, reverse=True)]
 
 
 X_ORDER = TermOrder(lambda v: (v.level, v.row, v.col))

@@ -10,6 +10,9 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,35 +122,71 @@ def standard_monomials(
     return out
 
 
+@dataclass(frozen=True)
+class SubductionTable:
+    """What subduction needs of one (context, interval), built once.
+
+    elements: the lattice elements of the interval (all of them without one);
+    mask: their interval_mask;
+    by_psi: psi(u) -> u over those elements;
+    counts: the number of standard pairs u <= v (u == v included) per
+    multidegree, keyed by (sorted columns of u and v, shift sum).
+    """
+
+    elements: tuple[PluckerVar, ...]
+    mask: SpecMask
+    by_psi: dict[Mono, PluckerVar]
+    counts: dict[tuple[tuple[int, ...], int], int]
+
+
+@functools.lru_cache(maxsize=None)
+def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> SubductionTable:
+    """The cached SubductionTable of a context and optional interval."""
+    elems = tuple(lattice.elements(ctx, interval))
+    by_psi = {maps.psi(u, ctx): u for u in elems}
+    counts: dict[tuple[tuple[int, ...], int], int] = {}
+    for i, u in enumerate(elems):
+        for v in elems[i:]:
+            if lattice.leq(u, v):
+                md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
+                counts[md] = counts.get(md, 0) + 1
+    return SubductionTable(elems, interval_mask(ctx, interval), by_psi, counts)
+
+
 def factor_initial(
     mono: Mono,
     ctx: Context,
-    elements: Optional[list[PluckerVar]] = None,
+    interval: Optional[Interval] = None,
 ) -> tuple[PluckerVar, PluckerVar]:
     """The unique standard pair (u, v), u <= v, with psi(u)*psi(v) == mono.
 
-    Candidates u are pruned by the shift/level-sum budget and by column
-    divisibility; the quotient is pattern-matched against the closed form
-    of the leading monomials.  No factorization means the monomial lies
-    outside the initial algebra; two factorizations cannot happen if the
-    standard monomials are linearly independent, so that case is an
-    internal error.
+    u and v range over the elements of the interval (all elements without
+    one).  psi(u) uses every matrix row exactly once, so a product
+    psi(u)*psi(v) holds exactly two variables (with multiplicity) in each
+    row, and psi(u) is one choice of one of them per row, psi(v) the rest.
+    The at most 2^p choices are looked up in the table psi(u) -> u of
+    subduction_table.  No factorization means the monomial lies outside
+    the initial algebra; two factorizations cannot happen if the standard
+    monomials are linearly independent, so that case is an internal error.
     """
-    if elements is None:
-        elements = lattice.elements(ctx)
-    allowed = set(elements)
-    budget = polyring.level_sum(mono)
+    by_psi = subduction_table(ctx, interval).by_psi
+    rows: dict[int, list] = {}
+    for x, e in mono:
+        rows.setdefault(x.row, []).extend([x] * e)
+    if len(rows) != ctx.p or any(len(xs) != 2 for xs in rows.values()):
+        raise NotInInitialAlgebraError(mono)
+    # XVar sorts row first, so one variable per row taken in row order is
+    # already a monomial in canonical storage order.
+    per_row = [rows[i] for i in sorted(rows)]
     found = []
-    for u in elements:
-        if u.shift > budget or budget - u.shift > ctx.q:
+    for picks in itertools.product((0, 1), repeat=ctx.p):
+        if any(pick and xs[0] == xs[1] for pick, xs in zip(picks, per_row)):
             continue
-        quotient = polyring.mono_div(mono, maps.psi(u, ctx))
-        if quotient is None:
+        u = by_psi.get(tuple((xs[k], 1) for k, xs in zip(picks, per_row)))
+        if u is None:
             continue
-        v = maps.psi_invert(quotient, ctx)
-        if v is None or v.shift > ctx.q or not lattice.leq(u, v):
-            continue
-        if v not in allowed:
+        v = by_psi.get(tuple((xs[1 - k], 1) for k, xs in zip(picks, per_row)))
+        if v is None or not lattice.leq(u, v):
             continue
         found.append((u, v))
     if not found:
@@ -167,14 +206,18 @@ def subduct(
     """Cancel leading monomials by images of standard pairs until exhausted.
 
     Only inputs homogeneous of matrix-degree 2p are accepted (products of
-    two generator images).  A leading monomial with no standard
-    factorization stops the run and is reported as the witness.
+    two generator images).  Each step factors the leading monomial through
+    the psi table (factor_initial) and cancels it with the image of that
+    standard pair.  A leading monomial with no standard factorization stops
+    the run and is reported as the witness.  Every step stays in the
+    multidegree of the input, whose standard pairs are counted in the
+    table, so more steps than that count plus one is an internal error.
     """
     two_p = 2 * ctx.p
     if any(polyring.mono_deg(m) != two_p for m in f.terms):
         raise InvalidInputError("subduction input must be homogeneous of degree 2p")
-    elems = lattice.elements(ctx, interval)
-    mask = interval_mask(ctx, interval)
+    table = subduction_table(ctx, interval)
+    mask = table.mask
     lead_coeff: dict[PluckerVar, object] = {}
 
     def image(u: PluckerVar) -> Polynomial:
@@ -193,12 +236,12 @@ def subduct(
     while f:
         coeff, mono = X_ORDER.leading_term(f)
         try:
-            u, v = factor_initial(mono, ctx, elems if interval else None)
+            u, v = factor_initial(mono, ctx, interval)
         except NotInInitialAlgebraError:
             return SubductionTrace(steps, f, witness=mono)
         if cap is None:
             md = (polyring.column_multiset(mono), polyring.level_sum(mono))
-            cap = len(standard_monomials(ctx, 2, md, interval)) + 1
+            cap = table.counts.get(md, 0) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
         step = Fraction(coeff) / (lc(u) * lc(v))
@@ -226,7 +269,7 @@ def straightening_relation(
     lattice.validate_var(delta, ctx)
     if not lattice.incomparable(gamma, delta):
         raise InvalidInputError(f"{gamma!r} and {delta!r} are comparable")
-    mask = interval_mask(ctx, interval)
+    mask = subduction_table(ctx, interval).mask
     f = maps.generator_image(gamma, ctx, mask) * maps.generator_image(delta, ctx, mask)
     trace = subduct(f, ctx, interval)
     if trace.remainder:
@@ -285,15 +328,19 @@ def sagbi_check(ctx: Context, jobs: int = 1) -> dict:
     """Subduct every incomparable product; report the nonzero remainders.
 
     The generators pass exactly when the failure list is empty.  Pairs are
-    independent, so they may be distributed over worker processes; the
-    report order is fixed by the canonical pair order regardless.
+    independent, so they may be distributed over worker processes: at most
+    jobs of them, and never more than the CPU count or the number of pairs.
+    The report order is fixed by the canonical pair order regardless.
     """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     pairs = lattice.incomparable_pairs(ctx)
     payload = [(u.cols, u.shift, v.cols, v.shift) for u, v in pairs]
     key = (ctx.p, ctx.m, ctx.n, ctx.q)
-    if jobs > 1 and len(payload) > 1:
-        chunks = [payload[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(payload))
+    if workers > 1:
+        chunks = [payload[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_pairs_worker, [(key, c) for c in chunks]))
         merged = {}
         for chunk in results:

@@ -17,16 +17,6 @@ from .lattice import Context, PluckerVar
 from .polyring import Polynomial
 
 
-def row_weight(ctx: Context):
-    """Weight on matrix variables: x[i,j,l] gets -(p*l + i)^2."""
-    p = ctx.p
-
-    def w(v):
-        return -((p * v.level + v.row) ** 2)
-
-    return w
-
-
 def shift_weight(_ctx: Optional[Context] = None):
     """Weight on lattice variables: shift a gets -a^2."""
 
@@ -59,13 +49,7 @@ def sort_signed(cols: tuple[int, ...], shift: int) -> tuple[int, Optional[Plucke
     """
     if len(set(cols)) != len(cols):
         return 0, None
-    inv = sum(
-        1
-        for i in range(len(cols))
-        for j in range(i + 1, len(cols))
-        if cols[i] > cols[j]
-    )
-    return (-1 if inv % 2 else 1), PluckerVar(tuple(sorted(cols)), shift)
+    return lattice.sort_sign(cols), PluckerVar(tuple(sorted(cols)), shift)
 
 
 def _violation_index(u: PluckerVar, v: PluckerVar) -> Optional[int]:

@@ -211,3 +211,41 @@ def test_n_defaults_from_q():
     code, out = run_cli("--p", "2", "--m", "2", "--q", "3", "sagbi-check")
     assert code == 0
     assert json.loads(out)["context"]["n"] == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sagbi_check_rejects_jobs_below_one(jobs):
+    code, out = run_cli("--p", "2", "--m", "2", "--n", "1", "sagbi-check", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cpus,expected", [(4, 4), (64, 5), (None, None)])
+def test_sagbi_check_caps_workers(monkeypatch, cpus, expected):
+    from qgrass import straighten
+
+    monkeypatch.setattr(straighten, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(straighten.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    ctx = Context(2, 2, 1, 2)  # 5 incomparable pairs
+    report = straighten.sagbi_check(ctx, jobs=1000)
+    assert report == straighten.sagbi_check(ctx, jobs=1)
+    assert _SerialPool.sizes == ([expected] if expected else [])
