@@ -4,6 +4,13 @@ Rows are dicts from hashable column labels to nonzero coefficients; a key
 function orders the columns, and every row pivots on its largest column.
 One incremental eliminator supports rank, reduction against a basis,
 nullspace extraction, and solving for a vector inside a span.
+
+The stored basis is kept in reduced row-echelon form: every pivot column
+appears in exactly one stored row, its own, with coefficient 1, and it is
+that row's largest column.  Eliminating a pivot column therefore brings in
+no other pivot column, so a row is fully reduced by one pass over the
+pivot columns it holds, in any order (Cox, Little and O'Shea, *Ideals,
+Varieties, and Algorithms*, ch. 2).
 """
 
 from __future__ import annotations
@@ -28,15 +35,14 @@ class Eliminator:
 
     Each stored row carries a tag vector recording how it was assembled
     from the rows fed in, so nullspace vectors and span coordinates come
-    out of the same elimination.
+    out of the same elimination.  The stored rows stay reduced: each pivot
+    column lives only in its own row, with coefficient 1, as that row's
+    largest column; add back-substitutes every new pivot to keep it so.
     """
 
     def __init__(self, col_key: Callable):
         self.col_key = col_key
         self.pivots: dict = {}  # pivot column -> (row, tag)
-
-    def _pivot_col(self, row: dict):
-        return max(row, key=self.col_key)
 
     def reduce(self, row: dict, tag: Optional[dict] = None) -> tuple[dict, dict]:
         """Fully reduce a row against the basis; returns (residual, combination).
@@ -46,28 +52,11 @@ class Eliminator:
         """
         row = dict(row)
         combo: dict = {} if tag is None else dict(tag)
-        while row:
-            c = self._pivot_col(row)
-            hit = self.pivots.get(c)
-            if hit is None:
-                break
-            base, base_tag = hit
-            f = Fraction(row[c]) / base[c]
+        for c in [c for c in row if c in self.pivots]:
+            base, base_tag = self.pivots[c]
+            f = Fraction(row[c])
             _add_scaled(row, base, -f)
             _add_scaled(combo, base_tag, f)
-        # clean lower (non-pivot-leading) columns too, for a fully reduced residual
-        changed = True
-        while changed and row:
-            changed = False
-            for c in sorted(row, key=self.col_key, reverse=True):
-                hit = self.pivots.get(c)
-                if hit is not None:
-                    base, base_tag = hit
-                    f = Fraction(row[c]) / base[c]
-                    _add_scaled(row, base, -f)
-                    _add_scaled(combo, base_tag, f)
-                    changed = True
-                    break
         return row, combo
 
     def add(self, row: dict, tag: Optional[dict] = None) -> Optional[dict]:
@@ -75,8 +64,8 @@ class Eliminator:
         combination expressing it in terms of previously added rows."""
         residual, combo = self.reduce(row, None)
         if not residual:
-            return combo if tag is None else combo
-        c = self._pivot_col(residual)
+            return combo
+        c = max(residual, key=self.col_key)
         lead = residual[c]
         monic = {k: Fraction(v) / lead for k, v in residual.items()}
         own_tag: dict = dict(tag) if tag is not None else {}
@@ -89,9 +78,9 @@ class Eliminator:
             else:
                 new_tag.pop(k, None)
         # back-substitute into existing rows to keep the basis reduced
-        for pc, (base, base_tag) in list(self.pivots.items()):
+        for base, base_tag in self.pivots.values():
             if c in base:
-                f = Fraction(base[c]) / monic[c]
+                f = Fraction(base[c])
                 _add_scaled(base, monic, -f)
                 _add_scaled(base_tag, new_tag, -f)
         self.pivots[c] = (monic, new_tag)

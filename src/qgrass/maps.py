@@ -37,11 +37,9 @@ def stacked_level(c: int, width: int) -> int:
 
 
 def phi(u: PluckerVar, ctx: Context) -> Polynomial:
-    """Coefficient of t^a in the maximal minor on columns alpha."""
-    lattice.validate_var(u, ctx, bound_shift=False)
-    if u.shift > ctx.n * ctx.p:
-        raise DomainError(f"shift {u.shift} exceeds the maximal degree {ctx.n * ctx.p}")
-    return polyring.det_coeff(ctx, u.cols, u.shift)
+    """Coefficient of t^a in the maximal minor on columns alpha: the unmasked
+    generator_image."""
+    return generator_image(u, ctx)
 
 
 def psi(u: PluckerVar, ctx: Context) -> Mono:

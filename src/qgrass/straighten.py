@@ -126,14 +126,13 @@ def standard_monomials(
 class SubductionTable:
     """What subduction needs of one (context, interval), built once.
 
-    elements: the lattice elements of the interval (all of them without one);
-    mask: their interval_mask;
-    by_psi: psi(u) -> u over those elements;
+    mask: the interval_mask;
+    by_psi: psi(u) -> u over the elements of the interval (all of them
+    without one);
     counts: the number of standard pairs u <= v (u == v included) per
     multidegree, keyed by (sorted columns of u and v, shift sum).
     """
 
-    elements: tuple[PluckerVar, ...]
     mask: SpecMask
     by_psi: dict[Mono, PluckerVar]
     counts: dict[tuple[tuple[int, ...], int], int]
@@ -150,7 +149,7 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
             if lattice.leq(u, v):
                 md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
                 counts[md] = counts.get(md, 0) + 1
-    return SubductionTable(elems, interval_mask(ctx, interval), by_psi, counts)
+    return SubductionTable(interval_mask(ctx, interval), by_psi, counts)
 
 
 def factor_initial(
@@ -365,39 +364,6 @@ def sagbi_check(ctx: Context, jobs: int = 1) -> dict:
     }
 
 
-def _dense_key(order_vars: list):
-    """Sortable degrevlex key over a fixed ascending variable list."""
-    index = {v: i for i, v in enumerate(order_vars)}
-    width = len(order_vars)
-
-    def key(m: Mono):
-        vec = [0] * width
-        for v, e in m:
-            vec[index[v]] = e
-        return (sum(vec), tuple(-x for x in vec))
-
-    return key
-
-
-def x_monomial_key(ctx: Context):
-    xvars = sorted(
-        (
-            polyring.XVar(i, j, l)
-            for i in range(1, ctx.p + 1)
-            for j in range(1, ctx.width + 1)
-            for l in range(ctx.n + 1)
-        ),
-        key=X_ORDER.var_key,
-    )
-    return _dense_key(xvars)
-
-
-def c_monomial_key(ctx: Context, elems: Optional[list[PluckerVar]] = None):
-    if elems is None:
-        elems = lattice.elements(ctx)
-    return _dense_key(elems)
-
-
 def kernel_quadrics_oracle(
     ctx: Context, interval: Optional[Interval] = None
 ) -> list[Polynomial]:
@@ -419,8 +385,6 @@ def kernel_quadrics_oracle(
                 u.shift + v.shift,
             )
             groups.setdefault(md, []).append(_pair_mono(u, v))
-    xkey = x_monomial_key(ctx)
-    ckey = c_monomial_key(ctx, elems)
     relations: list[Polynomial] = []
     for md in sorted(groups):
         monos = groups[md]
@@ -430,11 +394,9 @@ def kernel_quadrics_oracle(
             for var, e in m:
                 prod = prod * images[var] ** e
             rows.append(dict(prod.terms))
-        for combo in linalg.nullspace(rows, xkey):
+        for combo in linalg.nullspace(rows, X_ORDER.key):
             relations.append(Polynomial({monos[i]: c for i, c in combo.items()}))
-    basis_elim = linalg.Eliminator(ckey)
+    basis_elim = linalg.Eliminator(polyring.c_order(ctx).key)
     for rel in relations:
         basis_elim.add(dict(rel.terms))
-    basis = [Polynomial(row) for row in basis_elim.rows()]
-    basis.sort(key=lambda f: ckey(max(f.terms, key=ckey)), reverse=True)
-    return basis
+    return [Polynomial(row) for row in basis_elim.rows()]

@@ -134,8 +134,9 @@ def quantum_syzygy_v(t: lattice.Tableau, ctx: Context) -> Polynomial:
     initial_rows = [
         dict(polyring.initial_form(rel.poly, wc).terms) for rel in relations
     ]
-    ckey = straighten.c_monomial_key(ctx)
-    combo = linalg.solve_in_span(dict(w_target.terms), initial_rows, ckey)
+    combo = linalg.solve_in_span(
+        dict(w_target.terms), initial_rows, polyring.c_order(ctx).key
+    )
     if combo is None:
         raise InternalInconsistencyError("skew syzygy is not a combination of initial forms")
     out = Polynomial.zero()
@@ -195,8 +196,7 @@ def coefficient_relations(ctx: Context) -> list[Polynomial]:
 
 def rank_of_span(polys: list[Polynomial], ctx: Context) -> int:
     """Rank of a list of lattice-variable polynomials by exact elimination."""
-    ckey = straighten.c_monomial_key(ctx)
-    return linalg.rank_of([dict(f.terms) for f in polys], ckey)
+    return linalg.rank_of([dict(f.terms) for f in polys], polyring.c_order(ctx).key)
 
 
 def coefficient_relation_report(ctx: Context) -> dict:

@@ -158,7 +158,7 @@ def test_criterion_07_sagbi_verification():
         pairs = incomparable_pairs(ctx)
         basis = kernel_quadrics_oracle(ctx)
         assert len(basis) == len(pairs), params
-        ckey = straighten.c_monomial_key(ctx)
+        ckey = polyring.c_order(ctx).key
         elim = linalg.Eliminator(ckey)
         for b in basis:
             elim.add(dict(b.terms))

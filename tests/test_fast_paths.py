@@ -5,7 +5,9 @@ replaced, kept here as the reference.
   reference scans every element u and pattern-matches psi(u)'s quotient.
 - The step cap reads the table's count of standard pairs per multidegree;
   the reference enumerates them with standard_monomials.
-- TermOrder.key ranks monomials; the reference is TermOrder.compare.
+- TermOrder.key ranks monomials; the references are TermOrder.compare and
+  the dense degrevlex key over a fixed variable list that exact
+  elimination used before it took TermOrder.key.
 """
 
 import pytest
@@ -175,5 +177,56 @@ def test_key_sign_matches_compare(order, strategy):
     @given(strategy, strategy)
     def check(a, b):
         assert key_sign(order, a, b) == order.compare(a, b)
+
+    check()
+
+
+# -- the dense degrevlex key ----------------------------------------------------
+
+
+def _dense_key(order_vars):
+    """Reference: degrevlex key over a fixed ascending variable list, as a
+    full exponent vector."""
+    index = {v: i for i, v in enumerate(order_vars)}
+    width = len(order_vars)
+
+    def key(m):
+        vec = [0] * width
+        for v, e in m:
+            vec[index[v]] = e
+        return (sum(vec), tuple(-x for x in vec))
+
+    return key
+
+
+def all_xvars(ctx):
+    return sorted(
+        (
+            XVar(i, j, l)
+            for i in range(1, ctx.p + 1)
+            for j in range(1, ctx.width + 1)
+            for l in range(ctx.n + 1)
+        ),
+        key=X_ORDER.var_key,
+    )
+
+
+DENSE_INTERVAL_3313 = (parse_var("124^0"), parse_var("356^2"))
+DENSE_CASES = [
+    (X_ORDER, all_xvars(CTX3312)),
+    (c_order(CTX3312), elements(CTX3312)),
+    (c_order(KEY_CTX), elements(KEY_CTX, DENSE_INTERVAL_3313)),
+]
+
+
+@pytest.mark.parametrize("order,variables", DENSE_CASES, ids=["X", "C", "C-interval"])
+def test_key_sorts_like_dense_key(order, variables):
+    dense = _dense_key(variables)
+    monomial = monomials(st.sampled_from(variables))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(monomial, min_size=2, max_size=8))
+    def check(monos):
+        assert sorted(monos, key=order.key) == sorted(monos, key=dense)
 
     check()

@@ -217,7 +217,7 @@ def test_classical_p2_matches_oracle():
     basis = kernel_quadrics_oracle(ctx)
     assert len(basis) == 1
     quad = straightening_relation(*incomparable_pairs(ctx)[0], ctx)
-    ckey = straighten.c_monomial_key(ctx)
+    ckey = polyring.c_order(ctx).key
     elim = linalg.Eliminator(ckey)
     for b in basis:
         elim.add(dict(b.terms))
@@ -275,7 +275,7 @@ def test_oracle_cross_check_random_relations():
     ctx = Context(2, 3, 1, 2)
     basis = kernel_quadrics_oracle(ctx)
     assert len(basis) == len(incomparable_pairs(ctx))
-    ckey = straighten.c_monomial_key(ctx)
+    ckey = polyring.c_order(ctx).key
     elim = linalg.Eliminator(ckey)
     for b in basis:
         elim.add(dict(b.terms))

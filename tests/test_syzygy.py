@@ -141,7 +141,7 @@ def test_relations_vanish_and_lie_in_kernel_span():
     basis = straighten.kernel_quadrics_oracle(ctx)
     from qgrass import linalg
 
-    ckey = straighten.c_monomial_key(ctx)
+    ckey = polyring.c_order(ctx).key
     elim = linalg.Eliminator(ckey)
     for b in basis:
         elim.add(dict(b.terms))
