@@ -65,13 +65,21 @@ class Eliminator:
         residual, combo = self.reduce(row, None)
         if not residual:
             return combo
+        self.insert(residual, combo, tag)
+        return None
+
+    def insert(self, residual: dict, combo: dict, tag: Optional[dict] = None) -> None:
+        """Store a nonzero residual of reduce(row) as a new pivot row.
+
+        combo is the combination that reduce returned with it, and tag the
+        row's own tag.
+        """
         c = max(residual, key=self.col_key)
         lead = residual[c]
         monic = {k: Fraction(v) / lead for k, v in residual.items()}
-        own_tag: dict = dict(tag) if tag is not None else {}
         # tag tracks: monic = (incoming - sum combo_j . row_j) / lead
         new_tag = {k: -Fraction(v) / lead for k, v in combo.items()}
-        for k, v in own_tag.items():
+        for k, v in (tag or {}).items():
             s = new_tag.get(k, 0) + Fraction(v) / lead
             if s:
                 new_tag[k] = s
@@ -84,7 +92,6 @@ class Eliminator:
                 _add_scaled(base, monic, -f)
                 _add_scaled(base_tag, new_tag, -f)
         self.pivots[c] = (monic, new_tag)
-        return None
 
     @property
     def rank(self) -> int:
@@ -107,7 +114,8 @@ def nullspace(rows: list[dict], col_key: Callable) -> list[dict]:
     """Basis of the left kernel: combinations of the rows summing to zero.
 
     Tags are indexed by row position; each returned dict maps row indices
-    to rational coefficients with sum_i coeff[i] * rows[i] == 0.
+    to rational coefficients with sum_i coeff[i] * rows[i] == 0.  Each row
+    is reduced once: an independent residual goes straight into the basis.
     """
     elim = Eliminator(col_key)
     out = []
@@ -118,7 +126,7 @@ def nullspace(rows: list[dict], col_key: Callable) -> list[dict]:
             combo[i] = 1
             out.append(combo)
         else:
-            elim.add(r, tag={i: 1})
+            elim.insert(residual, combo, tag={i: 1})
     return out
 
 

@@ -239,6 +239,7 @@ class TermOrder:
     def __init__(self, var_key: Callable):
         self.var_key = var_key
         self._var_keys: dict = {}
+        self._key_vars: dict = {}
 
     def compare(self, a: Mono, b: Mono) -> int:
         """-1, 0 or 1 as a < b, a == b, a > b: the order's reference definition."""
@@ -254,26 +255,41 @@ class TermOrder:
                 return 1 if xa < xb else -1
         return 0
 
-    def key(self, m: Mono):
-        """Sort key agreeing with compare: key(a) < key(b) iff a < b.
+    def word(self, m: Mono) -> tuple:
+        """The ascending tuple of m's variable keys, each repeated by its exponent.
 
-        Degree first, then the (variable key, -exponent) pairs in ascending
-        variable order compared lexicographically: at the first variable
-        where two monomials of equal degree differ, a smaller exponent (or
-        the variable's absence) makes the larger monomial.  Variable keys
-        are memoized per variable.
+        For monomials of equal degree, degrevlex is lexicographic order on
+        words: where words a and b first differ, a[i] < b[i] means that a
+        has the larger exponent at the smallest variable where they differ,
+        so a is the smaller monomial.  The product of two monomials is the
+        sorted concatenation of their words.  Variable keys are memoized per
+        variable, and each key's variable for mono.
         """
         keys = self._var_keys
-        pairs = []
-        deg = 0
+        w: list = []
         for v, e in m:
             k = keys.get(v)
             if k is None:
                 k = keys[v] = self.var_key(v)
-            pairs.append((k, -e))
-            deg += e
-        pairs.sort()
-        return deg, pairs
+                self._key_vars[k] = v
+            w += [k] * e
+        w.sort()
+        return tuple(w)
+
+    def mono(self, word: tuple) -> Mono:
+        """The inverse of word, for words it built."""
+        key_vars = self._key_vars
+        return tuple(
+            sorted((key_vars[k], len(list(run))) for k, run in itertools.groupby(word))
+        )
+
+    def key(self, m: Mono):
+        """Sort key agreeing with compare: key(a) < key(b) iff a < b.
+
+        Degree first, then the word (see word).
+        """
+        w = self.word(m)
+        return len(w), w
 
     def leading_term(self, poly: Polynomial) -> Optional[tuple[Coeff, Mono]]:
         """(coefficient, monomial) of the largest term; None for zero."""

@@ -14,9 +14,9 @@ import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from . import lattice, linalg, maps, polyring
 from .errors import (
@@ -122,6 +122,10 @@ def standard_monomials(
     return out
 
 
+Word = tuple
+PackedPoly = list[tuple[Word, polyring.Coeff]]
+
+
 @dataclass(frozen=True)
 class SubductionTable:
     """What subduction needs of one (context, interval), built once.
@@ -130,12 +134,15 @@ class SubductionTable:
     by_psi: psi(u) -> u over the elements of the interval (all of them
     without one);
     counts: the number of standard pairs u <= v (u == v included) per
-    multidegree, keyed by (sorted columns of u and v, shift sum).
+    multidegree, keyed by (sorted columns of u and v, shift sum);
+    images: u -> the masked generator image of u as (X_ORDER word,
+    coefficient) terms, leading term first, filled lazily by packed_image.
     """
 
     mask: SpecMask
     by_psi: dict[Mono, PluckerVar]
     counts: dict[tuple[tuple[int, ...], int], int]
+    images: dict[PluckerVar, PackedPoly] = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,6 +157,31 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
                 md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
                 counts[md] = counts.get(md, 0) + 1
     return SubductionTable(interval_mask(ctx, interval), by_psi, counts)
+
+
+def packed_image(u: PluckerVar, ctx: Context, table: SubductionTable) -> PackedPoly:
+    """The table's packed image of u, built on first use."""
+    img = table.images.get(u)
+    if img is None:
+        poly = maps.generator_image(u, ctx, table.mask)
+        img = sorted(
+            ((X_ORDER.word(m), c) for m, c in poly.terms.items()), reverse=True
+        )
+        table.images[u] = img
+    return img
+
+
+def _add_product(g: dict, a: PackedPoly, b: PackedPoly, factor) -> None:
+    """g += factor * a * b on packed terms, dropping cancelled words."""
+    for wa, ca in a:
+        fa = factor * ca
+        for wb, cb in b:
+            w = tuple(sorted(wa + wb))
+            s = g.get(w, 0) + fa * cb
+            if s:
+                g[w] = s
+            else:
+                del g[w]
 
 
 def factor_initial(
@@ -198,55 +230,57 @@ def factor_initial(
 
 
 def subduct(
-    f: Polynomial,
+    f: Union[Polynomial, tuple[PluckerVar, PluckerVar]],
     ctx: Context,
     interval: Optional[Interval] = None,
 ) -> SubductionTrace:
     """Cancel leading monomials by images of standard pairs until exhausted.
 
-    Only inputs homogeneous of matrix-degree 2p are accepted (products of
-    two generator images).  Each step factors the leading monomial through
-    the psi table (factor_initial) and cancels it with the image of that
-    standard pair.  A leading monomial with no standard factorization stops
-    the run and is reported as the witness.  Every step stays in the
-    multidegree of the input, whose standard pairs are counted in the
-    table, so more steps than that count plus one is an internal error.
+    f is a polynomial homogeneous of matrix-degree 2p, or a pair (u, v)
+    standing for the product of their generator images.  The loop runs on
+    X_ORDER words (see TermOrder.word): all terms have degree 2p, so the
+    leading term is the largest word.  Each step factors the leading
+    monomial through the psi table (factor_initial) and cancels it with
+    the image of that standard pair.  A leading monomial with no standard
+    factorization stops the run and is reported as the witness.  Every
+    step stays in the multidegree of the input, whose standard pairs are
+    counted in the table, so more steps than that count plus one is an
+    internal error.
     """
-    two_p = 2 * ctx.p
-    if any(polyring.mono_deg(m) != two_p for m in f.terms):
-        raise InvalidInputError("subduction input must be homogeneous of degree 2p")
     table = subduction_table(ctx, interval)
-    mask = table.mask
-    lead_coeff: dict[PluckerVar, object] = {}
-
-    def image(u: PluckerVar) -> Polynomial:
-        return maps.generator_image(u, ctx, mask)
-
-    def lc(u: PluckerVar):
-        if u not in lead_coeff:
-            lt = X_ORDER.leading_term(image(u))
-            if lt is None:
-                raise InternalInconsistencyError(f"zero image for {u!r}")
-            lead_coeff[u] = lt[0]
-        return lead_coeff[u]
+    if isinstance(f, Polynomial):
+        two_p = 2 * ctx.p
+        if any(polyring.mono_deg(m) != two_p for m in f.terms):
+            raise InvalidInputError("subduction input must be homogeneous of degree 2p")
+        g = {X_ORDER.word(m): c for m, c in f.terms.items()}
+    else:
+        u, v = f
+        g = {}
+        _add_product(g, packed_image(u, ctx, table), packed_image(v, ctx, table), 1)
 
     cap = None
     steps: list[tuple[tuple[PluckerVar, PluckerVar], object]] = []
-    while f:
-        coeff, mono = X_ORDER.leading_term(f)
+    while g:
+        word = max(g)
+        mono = X_ORDER.mono(word)
         try:
             u, v = factor_initial(mono, ctx, interval)
         except NotInInitialAlgebraError:
-            return SubductionTrace(steps, f, witness=mono)
+            remainder = Polynomial({X_ORDER.mono(w): c for w, c in g.items()})
+            return SubductionTrace(steps, remainder, witness=mono)
         if cap is None:
             md = (polyring.column_multiset(mono), polyring.level_sum(mono))
             cap = table.counts.get(md, 0) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
-        step = Fraction(coeff) / (lc(u) * lc(v))
+        image_u, image_v = packed_image(u, ctx, table), packed_image(v, ctx, table)
+        for w, img in ((u, image_u), (v, image_v)):
+            if not img:
+                raise InternalInconsistencyError(f"zero image for {w!r}")
+        step = Fraction(g[word]) / (image_u[0][1] * image_v[0][1])
         if step.denominator == 1:
             step = int(step)
-        f = f - step * (image(u) * image(v))
+        _add_product(g, image_u, image_v, -step)
         steps.append(((u, v), step))
     return SubductionTrace(steps, Polynomial.zero())
 
@@ -268,9 +302,7 @@ def straightening_relation(
     lattice.validate_var(delta, ctx)
     if not lattice.incomparable(gamma, delta):
         raise InvalidInputError(f"{gamma!r} and {delta!r} are comparable")
-    mask = subduction_table(ctx, interval).mask
-    f = maps.generator_image(gamma, ctx, mask) * maps.generator_image(delta, ctx, mask)
-    trace = subduct(f, ctx, interval)
+    trace = subduct((gamma, delta), ctx, interval)
     if trace.remainder:
         raise SagbiFailureError((gamma, delta), trace.witness)
     meet, join = lattice.meet_join(gamma, delta)
@@ -309,13 +341,11 @@ def reduced_groebner(
 def _check_pairs_worker(args):
     (p, m, n, q), pairs = args
     ctx = Context(p, m, n, q)
-    mask = interval_mask(ctx, None)
     out = []
     for ucols, ushift, vcols, vshift in pairs:
         u = PluckerVar(tuple(ucols), ushift)
         v = PluckerVar(tuple(vcols), vshift)
-        f = maps.generator_image(u, ctx, mask) * maps.generator_image(v, ctx, mask)
-        trace = subduct(f, ctx)
+        trace = subduct((u, v), ctx)
         witness = None
         if trace.remainder:
             witness = polyring.emit_text(Polynomial.term(trace.witness), "X")

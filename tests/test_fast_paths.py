@@ -8,16 +8,31 @@ replaced, kept here as the reference.
 - TermOrder.key ranks monomials; the references are TermOrder.compare and
   the dense degrevlex key over a fixed variable list that exact
   elimination used before it took TermOrder.key.
+- subduct runs on X_ORDER words and packed image products; the reference
+  is the same loop on Polynomial and Mono, ranking every term by
+  X_ORDER.leading_term at each step.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgrass import lattice, maps, polyring
-from qgrass.errors import InternalInconsistencyError, NotInInitialAlgebraError
-from qgrass.lattice import Context, YoungSeq, elements, parse_var
-from qgrass.polyring import X_ORDER, XVar, c_order, mono_from_pairs
-from qgrass.straighten import factor_initial, standard_monomials, subduction_table
+from qgrass.errors import (
+    InternalInconsistencyError,
+    InvalidInputError,
+    NotInInitialAlgebraError,
+)
+from qgrass.lattice import Context, YoungSeq, elements, incomparable_pairs, parse_var
+from qgrass.polyring import Polynomial, X_ORDER, XVar, c_order, mono_from_pairs
+from qgrass.straighten import (
+    SubductionTrace,
+    factor_initial,
+    standard_monomials,
+    subduct,
+    subduction_table,
+)
 
 
 def factor_initial_scan(mono, ctx, elems=None):
@@ -228,5 +243,130 @@ def test_key_sorts_like_dense_key(order, variables):
     @given(st.lists(monomial, min_size=2, max_size=8))
     def check(monos):
         assert sorted(monos, key=order.key) == sorted(monos, key=dense)
+
+    check()
+
+
+# -- subduction on words --------------------------------------------------------
+
+
+def subduct_polynomial(f, ctx, interval=None):
+    """Reference: the subduction loop on Polynomial and Mono, as it was
+    before it ran on words."""
+    two_p = 2 * ctx.p
+    if any(polyring.mono_deg(m) != two_p for m in f.terms):
+        raise InvalidInputError("subduction input must be homogeneous of degree 2p")
+    table = subduction_table(ctx, interval)
+    lead_coeff = {}
+
+    def image(u):
+        return maps.generator_image(u, ctx, table.mask)
+
+    def lc(u):
+        if u not in lead_coeff:
+            lt = X_ORDER.leading_term(image(u))
+            if lt is None:
+                raise InternalInconsistencyError(f"zero image for {u!r}")
+            lead_coeff[u] = lt[0]
+        return lead_coeff[u]
+
+    cap = None
+    steps = []
+    while f:
+        coeff, mono = X_ORDER.leading_term(f)
+        try:
+            u, v = factor_initial(mono, ctx, interval)
+        except NotInInitialAlgebraError:
+            return SubductionTrace(steps, f, witness=mono)
+        if cap is None:
+            md = (polyring.column_multiset(mono), polyring.level_sum(mono))
+            cap = table.counts.get(md, 0) + 1
+        if len(steps) >= cap:
+            raise InternalInconsistencyError("subduction exceeded its step budget")
+        step = Fraction(coeff) / (lc(u) * lc(v))
+        if step.denominator == 1:
+            step = int(step)
+        f = f - step * (image(u) * image(v))
+        steps.append(((u, v), step))
+    return SubductionTrace(steps, Polynomial.zero())
+
+
+def assert_same_trace(fast, ref):
+    assert fast.steps == ref.steps
+    assert [type(c) for _, c in fast.steps] == [type(c) for _, c in ref.steps]
+    assert fast.remainder == ref.remainder
+    assert fast.witness == ref.witness
+
+
+def assert_subducts_like_reference(u, v, ctx, interval=None):
+    mask = subduction_table(ctx, interval).mask
+    f = maps.generator_image(u, ctx, mask) * maps.generator_image(v, ctx, mask)
+    ref = subduct_polynomial(f, ctx, interval)
+    assert_same_trace(subduct((u, v), ctx, interval), ref)
+    assert_same_trace(subduct(f, ctx, interval), ref)
+
+
+def test_subduct_matches_reference_on_all_pairs_3312():
+    elems = elements(CTX3312)
+    for i, u in enumerate(elems):
+        for v in elems[i:]:
+            assert_subducts_like_reference(u, v, CTX3312)
+
+
+@pytest.mark.parametrize("bot,top", INTERVALS_3313)
+def test_subduct_matches_reference_in_intervals(ctx333, bot, top):
+    interval = (parse_var(bot), parse_var(top))
+    for u, v in incomparable_pairs(ctx333, interval):
+        assert_subducts_like_reference(u, v, ctx333, interval)
+
+
+@pytest.mark.parametrize("mono", NON_FACTORABLE_3313)
+def test_subduct_matches_reference_on_non_factorable(ctx333, mono):
+    # the second monomial holds x[1,3,2], a level outside the grid at n = 1
+    f = Polynomial.term(mono)
+    fast, ref = subduct(f, ctx333), subduct_polynomial(f, ctx333)
+    assert_same_trace(fast, ref)
+    assert fast.witness == mono
+
+
+def test_subduct_rejects_non_homogeneous_like_reference(ctx333):
+    f = Polynomial.term(NON_FACTORABLE_3313[0]) + Polynomial.variable(XVar(1, 1, 0))
+    for fn in (subduct, subduct_polynomial):
+        with pytest.raises(InvalidInputError):
+            fn(f, ctx333)
+
+
+def equal_degree_pairs(var):
+    def pair(degree):
+        mono = st.lists(var, min_size=degree, max_size=degree).map(
+            lambda vs: mono_from_pairs((v, 1) for v in vs)
+        )
+        return st.tuples(mono, mono)
+
+    return st.integers(0, 6).flatmap(pair)
+
+
+@pytest.mark.parametrize(
+    "order,var",
+    [
+        (X_ORDER, st.builds(XVar, st.integers(1, 3), st.integers(1, 6), st.integers(0, 2))),
+        (c_order(KEY_CTX), st.sampled_from(elements(KEY_CTX))),
+        (
+            polyring.YOUNG_ORDER,
+            st.lists(
+                st.integers(1, KEY_CTX.stacked_width), min_size=3, max_size=3, unique=True
+            ).map(lambda xs: YoungSeq(tuple(sorted(xs)))),
+        ),
+    ],
+    ids=["X", "C", "J"],
+)
+def test_word_order_matches_compare_at_equal_degree(order, var):
+    @MANY
+    @given(equal_degree_pairs(var))
+    def check(pair):
+        a, b = pair
+        wa, wb = order.word(a), order.word(b)
+        assert ((wa > wb) - (wa < wb)) == order.compare(a, b)
+        assert order.mono(wa) == a and order.mono(wb) == b
 
     check()

@@ -167,3 +167,19 @@ def test_solve_in_span_matches_reference(basis_rows, weights, noise, key):
         for i, c in solved.items():
             linalg._add_scaled(rebuilt, independent[i], c)
         assert rebuilt == target
+
+
+@CHECK
+@given(rows, col_key)
+def test_nullspace_inserts_the_tagged_basis_of_reference_add(basis_rows, key):
+    # nullspace's own loop: reduce once, insert the residual with its tag;
+    # the reference reduces the row again inside add
+    new = linalg.Eliminator(key)
+    ref = ReferenceEliminator(key)
+    for i, r in enumerate(basis_rows):
+        residual, combo = new.reduce(r)
+        if residual:
+            new.insert(residual, combo, tag={i: 1})
+        assert ref.add(r, tag={i: 1}) == (None if residual else combo)
+        assert_reduced(new)
+        assert new.pivots == ref.pivots

@@ -288,3 +288,10 @@ def test_oracle_cross_check_random_relations():
 def test_straightening_rejects_comparable(ctx333):
     with pytest.raises(InvalidInputError):
         straightening_relation(parse_var("146^1"), parse_var("235^2"), ctx333)
+
+
+def test_sagbi_check_3413():
+    ctx = Context(3, 4, 1, 3)
+    report = sagbi_check(ctx)
+    assert report["failures"] == []
+    assert report["pairs_total"] == len(incomparable_pairs(ctx))
