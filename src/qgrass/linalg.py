@@ -3,7 +3,9 @@
 Rows are dicts from hashable column labels to nonzero coefficients; a key
 function orders the columns, and every row pivots on its largest column.
 One incremental eliminator supports rank, reduction against a basis,
-nullspace extraction, and solving for a vector inside a span.
+nullspace extraction, and solving for a vector inside a span.  Integer
+entries stay int: a row is made monic by multiplying with its lead when
+that lead is 1 or -1, and a Fraction appears only for any other lead.
 
 The stored basis is kept in reduced row-echelon form: every pivot column
 appears in exactly one stored row, its own, with coefficient 1, and it is
@@ -54,7 +56,7 @@ class Eliminator:
         combo: dict = {} if tag is None else dict(tag)
         for c in [c for c in row if c in self.pivots]:
             base, base_tag = self.pivots[c]
-            f = Fraction(row[c])
+            f = row[c]
             _add_scaled(row, base, -f)
             _add_scaled(combo, base_tag, f)
         return row, combo
@@ -76,11 +78,13 @@ class Eliminator:
         """
         c = max(residual, key=self.col_key)
         lead = residual[c]
-        monic = {k: Fraction(v) / lead for k, v in residual.items()}
+        # 1/lead: the unit lead itself keeps integer rows integer
+        inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
+        monic = {k: v * inv for k, v in residual.items()}
         # tag tracks: monic = (incoming - sum combo_j . row_j) / lead
-        new_tag = {k: -Fraction(v) / lead for k, v in combo.items()}
+        new_tag = {k: -v * inv for k, v in combo.items()}
         for k, v in (tag or {}).items():
-            s = new_tag.get(k, 0) + Fraction(v) / lead
+            s = new_tag.get(k, 0) + v * inv
             if s:
                 new_tag[k] = s
             else:
@@ -88,7 +92,7 @@ class Eliminator:
         # back-substitute into existing rows to keep the basis reduced
         for base, base_tag in self.pivots.values():
             if c in base:
-                f = Fraction(base[c])
+                f = base[c]
                 _add_scaled(base, monic, -f)
                 _add_scaled(base_tag, new_tag, -f)
         self.pivots[c] = (monic, new_tag)

@@ -5,7 +5,8 @@ monomial of a product of generator images is repeatedly cancelled by the
 image of a standard (comparable) pair, and the recorded steps assemble the
 quadratic relation with that incomparable product as leading term.  A
 brute-force linear-algebra kernel over the quadratic part serves as an
-independent oracle.
+independent oracle: it builds its rows from the same packed image products,
+but never subducts.
 """
 
 from __future__ import annotations
@@ -145,9 +146,17 @@ class SubductionTable:
     images: dict[PluckerVar, PackedPoly] = field(default_factory=dict)
 
 
-@functools.lru_cache(maxsize=None)
 def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> SubductionTable:
-    """The cached SubductionTable of a context and optional interval."""
+    """The cached SubductionTable of a context and optional interval.
+
+    One table per (ctx, interval), however the interval is passed (or left
+    out), so all callers share its image cache.
+    """
+    return _subduction_table(ctx, interval)
+
+
+@functools.lru_cache(maxsize=None)
+def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionTable:
     elems = tuple(lattice.elements(ctx, interval))
     by_psi = {maps.psi(u, ctx): u for u in elems}
     counts: dict[tuple[tuple[int, ...], int], int] = {}
@@ -182,6 +191,11 @@ def _add_product(g: dict, a: PackedPoly, b: PackedPoly, factor) -> None:
                 g[w] = s
             else:
                 del g[w]
+
+
+def _word_key(word: Word) -> Word:
+    """Column key of equal-degree words: the word itself (see TermOrder.word)."""
+    return word
 
 
 def factor_initial(
@@ -401,31 +415,37 @@ def kernel_quadrics_oracle(
 
     All products of two generator images are expanded and the relations
     among them solved exactly, grouped by the (column multiset, shift sum)
-    multidegree under which the kernel splits.  The result is a reduced
-    row-echelon basis in the canonical monomial coordinates.
+    multidegree under which the kernel splits (the diagonal blocks of a
+    Macaulay matrix).  The images are the subduction table's packed ones,
+    and each product is a dict X_ORDER word -> coefficient built by
+    _add_product; all products in a group have degree 2p, where word order
+    is degrevlex, so the words are their own column keys.  Nothing else of
+    the table is read and subduct is never called, so the oracle stays
+    independent of subduction.  The result is a reduced row-echelon basis
+    in the canonical monomial coordinates.
     """
     elems = lattice.elements(ctx, interval)
-    mask = interval_mask(ctx, interval)
-    images = {u: maps.generator_image(u, ctx, mask) for u in elems}
-    groups: dict[tuple, list[Mono]] = {}
+    table = subduction_table(ctx, interval)
+    groups: dict[tuple, list[tuple[PluckerVar, PluckerVar]]] = {}
     for i, u in enumerate(elems):
         for v in elems[i:]:
             md = (
                 tuple(sorted(u.cols + v.cols)),
                 u.shift + v.shift,
             )
-            groups.setdefault(md, []).append(_pair_mono(u, v))
+            groups.setdefault(md, []).append((u, v))
     relations: list[Polynomial] = []
     for md in sorted(groups):
-        monos = groups[md]
+        pairs = groups[md]
         rows = []
-        for m in monos:
-            prod = Polynomial.constant(1)
-            for var, e in m:
-                prod = prod * images[var] ** e
-            rows.append(dict(prod.terms))
-        for combo in linalg.nullspace(rows, X_ORDER.key):
-            relations.append(Polynomial({monos[i]: c for i, c in combo.items()}))
+        for u, v in pairs:
+            row: dict = {}
+            _add_product(row, packed_image(u, ctx, table), packed_image(v, ctx, table), 1)
+            rows.append(row)
+        for combo in linalg.nullspace(rows, _word_key):
+            relations.append(
+                Polynomial({_pair_mono(*pairs[i]): c for i, c in combo.items()})
+            )
     basis_elim = linalg.Eliminator(polyring.c_order(ctx).key)
     for rel in relations:
         basis_elim.add(dict(rel.terms))

@@ -249,3 +249,9 @@ def test_sagbi_check_caps_workers(monkeypatch, cpus, expected):
     report = straighten.sagbi_check(ctx, jobs=1000)
     assert report == straighten.sagbi_check(ctx, jobs=1)
     assert _SerialPool.sizes == ([expected] if expected else [])
+
+
+def test_obvious_rank_report_3313():
+    code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "--q", "3", "obvious", "--rank")
+    assert code == 0
+    assert out == '{"generators":245,"rank":245,"kernel_dim":250,"deficit":5}\n'

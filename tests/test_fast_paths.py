@@ -11,6 +11,8 @@ replaced, kept here as the reference.
 - subduct runs on X_ORDER words and packed image products; the reference
   is the same loop on Polynomial and Mono, ranking every term by
   X_ORDER.leading_term at each step.
+- kernel_quadrics_oracle builds its rows from the same packed image
+  products; the reference multiplies the generator images as Polynomials.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgrass import lattice, maps, polyring
+from qgrass import lattice, linalg, maps, polyring
 from qgrass.errors import (
     InternalInconsistencyError,
     InvalidInputError,
@@ -28,7 +30,11 @@ from qgrass.lattice import Context, YoungSeq, elements, incomparable_pairs, pars
 from qgrass.polyring import Polynomial, X_ORDER, XVar, c_order, mono_from_pairs
 from qgrass.straighten import (
     SubductionTrace,
+    _add_product,
     factor_initial,
+    interval_mask,
+    kernel_quadrics_oracle,
+    packed_image,
     standard_monomials,
     subduct,
     subduction_table,
@@ -370,3 +376,86 @@ def test_word_order_matches_compare_at_equal_degree(order, var):
         assert order.mono(wa) == a and order.mono(wb) == b
 
     check()
+
+
+# -- the kernel oracle on packed image products -------------------------------
+
+
+def kernel_quadrics_oracle_polynomial(ctx, interval=None):
+    """Reference: the oracle multiplying generator images as Polynomials,
+    as it was before it read the subduction table's packed images."""
+    elems = elements(ctx, interval)
+    mask = interval_mask(ctx, interval)
+    images = {u: maps.generator_image(u, ctx, mask) for u in elems}
+    groups = {}
+    for i, u in enumerate(elems):
+        for v in elems[i:]:
+            md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
+            groups.setdefault(md, []).append(mono_from_pairs([(u, 1), (v, 1)]))
+    relations = []
+    for md in sorted(groups):
+        monos = groups[md]
+        rows = []
+        for m in monos:
+            prod = Polynomial.constant(1)
+            for var, e in m:
+                prod = prod * images[var] ** e
+            rows.append(dict(prod.terms))
+        for combo in linalg.nullspace(rows, X_ORDER.key):
+            relations.append(Polynomial({monos[i]: c for i, c in combo.items()}))
+    basis_elim = linalg.Eliminator(c_order(ctx).key)
+    for rel in relations:
+        basis_elim.add(dict(rel.terms))
+    return [Polynomial(row) for row in basis_elim.rows()]
+
+
+def typed_terms(poly, order):
+    return [(m, type(c), c) for m, c in order.sorted_terms(poly)]
+
+
+@pytest.mark.parametrize(
+    "params,interval",
+    [
+        ((2, 2, 1, 2), None),
+        ((2, 3, 1, 2), None),
+        ((3, 3, 1, 1), None),
+        ((3, 3, 1, 2), None),
+        ((2, 2, 2, 4), None),
+        ((1, 3, 1, 1), None),
+        ((3, 3, 1, 3), ("146^1", "235^2")),
+    ],
+)
+def test_kernel_oracle_matches_polynomial_reference(params, interval):
+    ctx = Context(*params)
+    if interval is not None:
+        interval = tuple(parse_var(x) for x in interval)
+    fast = kernel_quadrics_oracle(ctx, interval)
+    ref = kernel_quadrics_oracle_polynomial(ctx, interval)
+    assert fast == ref
+    order = c_order(ctx)
+    assert [typed_terms(f, order) for f in fast] == [typed_terms(f, order) for f in ref]
+
+
+def test_add_product_matches_polynomial_product():
+    ctx = Context(2, 3, 1, 2)
+    table = subduction_table(ctx)
+    elems = elements(ctx)
+    for i, u in enumerate(elems):
+        for v in elems[i:]:
+            g = {}
+            _add_product(g, packed_image(u, ctx, table), packed_image(v, ctx, table), 1)
+            unpacked = Polynomial({X_ORDER.mono(w): c for w, c in g.items()})
+            product = maps.generator_image(u, ctx, table.mask) * maps.generator_image(
+                v, ctx, table.mask
+            )
+            assert len(unpacked.terms) == len(g)
+            assert unpacked == product
+
+
+def test_subduction_table_is_one_object_however_the_interval_is_passed():
+    ctx = Context(2, 2, 1, 2)
+    table = subduction_table(ctx)
+    assert subduction_table(ctx, None) is table
+    assert subduction_table(ctx, interval=None) is table
+    interval = (parse_var("12^0"), parse_var("34^1"))
+    assert subduction_table(ctx, interval) is subduction_table(ctx, interval=interval)

@@ -4,7 +4,9 @@ reduction it replaced, kept here as the reference.
 The reference first cancels leading columns while they are pivots, then
 repeatedly re-sorts the row and cancels its largest remaining pivot column.
 The one-pass reduction relies on the basis staying reduced, which is
-asserted after every add.
+asserted after every add.  The reference divides in Fractions throughout;
+the Eliminator keeps integer entries int when every pivot lead is 1 or -1,
+and must still agree with the reference value for value.
 """
 
 from fractions import Fraction
@@ -183,3 +185,75 @@ def test_nullspace_inserts_the_tagged_basis_of_reference_add(basis_rows, key):
         assert ref.add(r, tag={i: 1}) == (None if residual else combo)
         assert_reduced(new)
         assert new.pivots == ref.pivots
+
+
+# -- integer preservation ---------------------------------------------------------
+
+
+@st.composite
+def pivot_rows(draw, leads, first_leads=None):
+    """(col_key, rows): integer rows with distinct largest columns, the
+    first lead drawn from first_leads (if given) and the others from leads,
+    interleaved with integer combinations of the rows before them.  A row's
+    largest column is never an earlier pivot, so every inserted residual
+    keeps its own lead."""
+    key = draw(col_key)
+    out = []
+    cols = draw(st.lists(st.integers(0, 9), unique=True, min_size=bool(first_leads), max_size=7))
+    for n, c in enumerate(cols):
+        lower = [d for d in range(10) if key(d) < key(c)]
+        r = {}
+        if lower:
+            r = draw(
+                st.dictionaries(
+                    st.sampled_from(lower), st.integers(-3, 3).filter(bool), max_size=4
+                )
+            )
+        r[c] = draw(st.sampled_from(first_leads if first_leads and not n else leads))
+        out.append(r)
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(out), max_size=len(out)))
+            dependent: dict = {}
+            for w, earlier in zip(weights, out):
+                linalg._add_scaled(dependent, earlier, w)
+            out.append(dependent)
+    return key, out
+
+
+def entries(elim):
+    for r, t in elim.pivots.values():
+        yield from r.values()
+        yield from t.values()
+
+
+def assert_matches_reference(key, basis_rows):
+    new = linalg.Eliminator(key)
+    ref = ReferenceEliminator(key)
+    combos = []
+    for i, r in enumerate(basis_rows):
+        combo = new.add(r, tag={i: 1})
+        assert combo == ref.add(r, tag={i: 1})
+        assert_reduced(new)
+        assert new.pivots == ref.pivots
+        combos.append(combo)
+    kernel = linalg.nullspace(basis_rows, key)
+    assert kernel == reference_nullspace(basis_rows, key)
+    return new, combos, kernel
+
+
+@CHECK
+@given(pivot_rows([1, -1]))
+def test_unit_pivots_keep_integer_rows_integer(case):
+    key, basis_rows = case
+    new, combos, kernel = assert_matches_reference(key, basis_rows)
+    assert all(type(v) is int for v in entries(new))
+    for combo in combos + kernel:
+        assert all(type(v) is int for v in (combo or {}).values())
+
+
+@CHECK
+@given(pivot_rows([2, -3, 1, -1], first_leads=[2, -3]))
+def test_non_unit_pivot_still_matches_reference(case):
+    key, basis_rows = case
+    new, _, _ = assert_matches_reference(key, basis_rows)
+    assert all(type(v) in (int, Fraction) for v in entries(new))

@@ -295,3 +295,8 @@ def test_sagbi_check_3413():
     report = sagbi_check(ctx)
     assert report["failures"] == []
     assert report["pairs_total"] == len(incomparable_pairs(ctx))
+
+
+def test_oracle_dimension_3413():
+    ctx = Context(3, 4, 1, 3)
+    assert len(kernel_quadrics_oracle(ctx)) == len(incomparable_pairs(ctx)) == 1015
