@@ -120,7 +120,7 @@ def parse_var(text: str, p: Optional[int] = None) -> PluckerVar:
     return u
 
 
-def leq(u: PluckerVar, v: PluckerVar, ctx: Optional[Context] = None) -> bool:
+def leq(u: PluckerVar, v: PluckerVar) -> bool:
     """Partial order: shifts weakly increase and columns interlace.
 
     u <= v iff shift(u) <= shift(v) and u.cols[i] <= v.cols[i+d] for all i,
@@ -128,9 +128,6 @@ def leq(u: PluckerVar, v: PluckerVar, ctx: Optional[Context] = None) -> bool:
     """
     if len(u.cols) != len(v.cols):
         raise InvalidInputError("mismatched column counts: %r vs %r" % (u, v))
-    if ctx is not None:
-        validate_var(u, ctx)
-        validate_var(v, ctx)
     d = v.shift - u.shift
     if d < 0:
         return False

@@ -299,24 +299,13 @@ def subduct(
     return SubductionTrace(steps, Polynomial.zero())
 
 
-def straightening_relation(
-    gamma: PluckerVar,
-    delta: PluckerVar,
-    ctx: Context,
-    interval: Optional[Interval] = None,
-) -> Quadric:
-    """The reduced-basis quadric with leading term gamma*delta.
+def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Quadric:
+    """The quadric with leading term gamma*delta, read off its subduction.
 
-    Subduction of the product of the two generator images supplies the
-    trailing standard terms; the shape conditions (second term is the
-    join-meet product with coefficient -1, all later pairs strictly
+    A remainder is a sagbi failure.  The shape conditions (second term is
+    the join-meet product with coefficient -1, all later pairs strictly
     straddle) are asserted rather than assumed.
     """
-    lattice.validate_var(gamma, ctx)
-    lattice.validate_var(delta, ctx)
-    if not lattice.incomparable(gamma, delta):
-        raise InvalidInputError(f"{gamma!r} and {delta!r} are comparable")
-    trace = subduct((gamma, delta), ctx, interval)
     if trace.remainder:
         raise SagbiFailureError((gamma, delta), trace.witness)
     meet, join = lattice.meet_join(gamma, delta)
@@ -342,68 +331,82 @@ def straightening_relation(
     return Quadric(poly, (gamma, delta))
 
 
+def _subduct_run(args) -> list[SubductionTrace]:
+    ctx, interval, pairs = args
+    return [subduct(pair, ctx, interval) for pair in pairs]
+
+
+def _subduct_incomparable(
+    ctx: Context, interval: Optional[Interval], jobs: int = 1
+) -> list[tuple[tuple[PluckerVar, PluckerVar], SubductionTrace]]:
+    """Subduct every incomparable pair once: (pair, trace) in canonical order.
+
+    With more than one worker (at most jobs, the CPU count and the number
+    of pairs), each worker process subducts one contiguous run of the
+    canonical pair order, and the runs are concatenated in order.
+    """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    pairs = lattice.incomparable_pairs(ctx, interval)
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
+        cuts = [len(pairs) * k // workers for k in range(workers + 1)]
+        runs = [(ctx, interval, pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = [t for run in pool.map(_subduct_run, runs) for t in run]
+    else:
+        traces = _subduct_run((ctx, interval, pairs))
+    return list(zip(pairs, traces))
+
+
+def straightening_relation(
+    gamma: PluckerVar,
+    delta: PluckerVar,
+    ctx: Context,
+    interval: Optional[Interval] = None,
+) -> Quadric:
+    """The reduced-basis quadric with leading term gamma*delta.
+
+    gamma and delta must be incomparable and, given an interval, lie in
+    it; anything else is refused before the product of their generator
+    images is subducted.  _quadric checks the shape of the result.
+    """
+    for w in (gamma, delta):
+        lattice.validate_var(w, ctx)
+        if interval and not (lattice.leq(interval[0], w) and lattice.leq(w, interval[1])):
+            raise InvalidInputError(f"{w!r} is not in the interval {interval!r}")
+    if not lattice.incomparable(gamma, delta):
+        raise InvalidInputError(f"{gamma!r} and {delta!r} are comparable")
+    return _quadric(gamma, delta, subduct((gamma, delta), ctx, interval))
+
+
 def reduced_groebner(
     ctx: Context, interval: Optional[Interval] = None
 ) -> list[Quadric]:
     """One straightening quadric per incomparable pair, canonically ordered."""
-    return [
-        straightening_relation(u, v, ctx, interval)
-        for u, v in lattice.incomparable_pairs(ctx, interval)
-    ]
-
-
-def _check_pairs_worker(args):
-    (p, m, n, q), pairs = args
-    ctx = Context(p, m, n, q)
-    out = []
-    for ucols, ushift, vcols, vshift in pairs:
-        u = PluckerVar(tuple(ucols), ushift)
-        v = PluckerVar(tuple(vcols), vshift)
-        trace = subduct((u, v), ctx)
-        witness = None
-        if trace.remainder:
-            witness = polyring.emit_text(Polynomial.term(trace.witness), "X")
-        out.append((ucols, ushift, vcols, vshift, witness))
-    return out
+    return [_quadric(u, v, t) for (u, v), t in _subduct_incomparable(ctx, interval)]
 
 
 def sagbi_check(ctx: Context, jobs: int = 1) -> dict:
     """Subduct every incomparable product; report the nonzero remainders.
 
-    The generators pass exactly when the failure list is empty.  Pairs are
-    independent, so they may be distributed over worker processes: at most
-    jobs of them, and never more than the CPU count or the number of pairs.
-    The report order is fixed by the canonical pair order regardless.
+    The generators pass exactly when the failure list is empty.  The pairs
+    go through the same single pass as reduced_groebner, over at most jobs
+    worker processes; each failure reports its pair and the witness
+    monomial, in canonical pair order.
     """
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
-    pairs = lattice.incomparable_pairs(ctx)
-    payload = [(u.cols, u.shift, v.cols, v.shift) for u, v in pairs]
-    key = (ctx.p, ctx.m, ctx.n, ctx.q)
-    workers = min(jobs, os.cpu_count() or 1, len(payload))
-    if workers > 1:
-        chunks = [payload[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_pairs_worker, [(key, c) for c in chunks]))
-        merged = {}
-        for chunk in results:
-            for ucols, ushift, vcols, vshift, witness in chunk:
-                merged[(ucols, ushift, vcols, vshift)] = witness
-        outcomes = [merged[p] for p in payload]
-    else:
-        outcomes = [r[4] for r in _check_pairs_worker((key, payload))]
-    failures = []
-    for (u, v), witness in zip(pairs, outcomes):
-        if witness is not None:
-            failures.append(
-                {
-                    "pair": [lattice.format_var(u), lattice.format_var(v)],
-                    "witness_monomial": witness,
-                }
-            )
+    items = _subduct_incomparable(ctx, None, jobs)
+    failures = [
+        {
+            "pair": [lattice.format_var(u), lattice.format_var(v)],
+            "witness_monomial": polyring.emit_text(Polynomial.term(t.witness), "X"),
+        }
+        for (u, v), t in items
+        if t.remainder
+    ]
     return {
         "context": {"p": ctx.p, "m": ctx.m, "n": ctx.n, "q": ctx.q},
-        "pairs_total": len(pairs),
+        "pairs_total": len(items),
         "failures": failures,
     }
 

@@ -26,19 +26,13 @@ def shift_weight(_ctx: Optional[Context] = None):
     return w
 
 
-def weight_initial_r(
-    gamma: PluckerVar,
-    delta: PluckerVar,
-    ctx: Context,
-    relation: Optional[straighten.Quadric] = None,
-) -> Polynomial:
+def weight_initial_r(gamma: PluckerVar, delta: PluckerVar, ctx: Context) -> Polynomial:
     """Initial form of the straightening relation under the shift weight.
 
     Over all incomparable pairs these give the reduced basis of the
     relations among the row-consecutive minors.
     """
-    if relation is None:
-        relation = straighten.straightening_relation(gamma, delta, ctx)
+    relation = straighten.straightening_relation(gamma, delta, ctx)
     return polyring.initial_form(relation.poly, shift_weight(ctx))
 
 

@@ -1,10 +1,13 @@
 import io
 import json
+import multiprocessing
+import os
 import pathlib
 
 import pytest
 
-from qgrass import cli, polyring
+from qgrass import cli, maps, polyring, straighten
+from qgrass.errors import SagbiFailureError
 from qgrass.lattice import Context, parse_var
 
 from conftest import golden_text
@@ -85,6 +88,16 @@ def test_straighten_golden():
 def test_straighten_comparable_is_usage_error():
     code, _ = run_cli("--p", "3", "--m", "3", "--n", "1", "straighten", "146^1", "235^2")
     assert code == 1
+
+
+def test_straighten_outside_interval_is_usage_error():
+    # neither 356^0 nor 124^1 lies in [146^1, 235^2]
+    code, out = run_cli(
+        "--p", "3", "--m", "3", "--n", "1", "--q", "3",
+        "straighten", "356^0", "124^1", "--interval", "146^1", "235^2",
+    )
+    assert code == 1
+    assert out == ""
 
 
 def test_groebner_interval():
@@ -255,3 +268,58 @@ def test_obvious_rank_report_3313():
     code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "--q", "3", "obvious", "--rank")
     assert code == 0
     assert out == '{"generators":245,"rank":245,"kernel_dim":250,"deficit":5}\n'
+
+
+@pytest.fixture
+def raw_images(monkeypatch):
+    """Subduct on the unmasked generator images.
+
+    Below q = n*p the raw images generate a larger ring, so some
+    incomparable products leave a remainder (see interval_mask).  The
+    table cache is cleared on both sides so no masked table leaks in or out.
+    """
+    monkeypatch.setattr(straighten, "interval_mask", lambda ctx, interval: maps.EMPTY_MASK)
+    straighten._subduction_table.cache_clear()
+    yield
+    straighten._subduction_table.cache_clear()
+
+
+def test_sagbi_check_reports_failure(raw_images):
+    code, out = run_cli("--p", "2", "--m", "2", "--n", "1", "--q", "1", "sagbi-check")
+    assert code == 2
+    assert json.loads(out) == {
+        "context": {"p": 2, "m": 2, "n": 1, "q": 1},
+        "pairs_total": 3,
+        "failures": [
+            {
+                "pair": ["1,4^1", "2,3^1"],
+                "witness_monomial": "x[1,4,0]*x[2,3,0]*x[1,2,1]*x[2,1,1]",
+            }
+        ],
+    }
+    with pytest.raises(SagbiFailureError):
+        straighten.reduced_groebner(Context(2, 2, 1, 1))
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4, 5])
+def test_sagbi_check_failures_keep_order_across_chunks(raw_images, monkeypatch, jobs):
+    ctx = Context(3, 3, 1, 1)
+    serial = straighten.sagbi_check(ctx, jobs=1)
+    assert (len(serial["failures"]), serial["pairs_total"]) == (35, 106)
+    monkeypatch.setattr(straighten, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(straighten.os, "cpu_count", lambda: 8)
+    _SerialPool.sizes = []
+    assert straighten.sagbi_check(ctx, jobs=jobs) == serial
+    assert _SerialPool.sizes == [jobs]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="needs forked workers (to inherit the patch) and two CPUs",
+)
+def test_sagbi_check_failures_through_worker_processes(raw_images):
+    # nonzero remainders and witnesses travel back from 2 real workers
+    ctx = Context(3, 3, 1, 1)
+    serial = straighten.sagbi_check(ctx, jobs=1)
+    assert serial["failures"]
+    assert straighten.sagbi_check(ctx, jobs=2) == serial

@@ -13,6 +13,9 @@ replaced, kept here as the reference.
   X_ORDER.leading_term at each step.
 - kernel_quadrics_oracle builds its rows from the same packed image
   products; the reference multiplies the generator images as Polynomials.
+- reduced_groebner reads its quadrics off one subduction pass over the
+  incomparable pairs; the reference calls straightening_relation on each
+  pair, which validates and subducts it on its own.
 """
 
 from fractions import Fraction
@@ -35,7 +38,9 @@ from qgrass.straighten import (
     interval_mask,
     kernel_quadrics_oracle,
     packed_image,
+    reduced_groebner,
     standard_monomials,
+    straightening_relation,
     subduct,
     subduction_table,
 )
@@ -459,3 +464,18 @@ def test_subduction_table_is_one_object_however_the_interval_is_passed():
     assert subduction_table(ctx, interval=None) is table
     interval = (parse_var("12^0"), parse_var("34^1"))
     assert subduction_table(ctx, interval) is subduction_table(ctx, interval=interval)
+
+
+@pytest.mark.parametrize(
+    "ctx,interval",
+    [(CTX3312, None)]
+    + [(Context(3, 3, 1, 3), (parse_var(b), parse_var(t))) for b, t in INTERVALS_3313],
+)
+def test_reduced_groebner_matches_straightening_loop(ctx, interval):
+    reference = [
+        straightening_relation(u, v, ctx, interval)
+        for u, v in incomparable_pairs(ctx, interval)
+    ]
+    basis = reduced_groebner(ctx, interval)
+    assert [q.lead_pair for q in basis] == [q.lead_pair for q in reference]
+    assert [q.poly for q in basis] == [q.poly for q in reference]
