@@ -92,14 +92,6 @@ def level_sum(a: Mono) -> int:
     return sum(e * v.level for v, e in a)
 
 
-def column_multiset(a: Mono) -> tuple[int, ...]:
-    """Sorted multiset of matrix columns used by an X-monomial."""
-    cols: list[int] = []
-    for v, e in a:
-        cols.extend([v.col] * e)
-    return tuple(sorted(cols))
-
-
 class Polynomial:
     """Sparse polynomial: monomial -> nonzero exact coefficient."""
 

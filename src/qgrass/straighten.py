@@ -12,7 +12,6 @@ but never subducts.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -132,18 +131,26 @@ class SubductionTable:
     """What subduction needs of one (context, interval), built once.
 
     mask: the interval_mask;
-    by_psi: psi(u) -> u over the elements of the interval (all of them
-    without one);
+    lead_pairs: the X_ORDER word of psi(u)*psi(v) -> (u, v), over the
+    standard pairs u <= v of the interval's elements (all elements without
+    one), u == v included.  By the sagbi theorem these are the monomials of
+    the initial algebra, one standard pair each (the Hibi toric ring), so
+    the map is the whole factoring step of subduction;
     counts: the number of standard pairs u <= v (u == v included) per
-    multidegree, keyed by (sorted columns of u and v, shift sum);
+    multidegree, keyed by _multidegree;
     images: u -> the masked generator image of u as (X_ORDER word,
     coefficient) terms, leading term first, filled lazily by packed_image.
     """
 
     mask: SpecMask
-    by_psi: dict[Mono, PluckerVar]
+    lead_pairs: dict[Word, tuple[PluckerVar, PluckerVar]]
     counts: dict[tuple[tuple[int, ...], int], int]
     images: dict[PluckerVar, PackedPoly] = field(default_factory=dict)
+
+
+def _multidegree(u: PluckerVar, v: PluckerVar) -> tuple[tuple[int, ...], int]:
+    """(sorted columns of u and v, shift sum): the grading of the pair u*v."""
+    return tuple(sorted(u.cols + v.cols)), u.shift + v.shift
 
 
 def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> SubductionTable:
@@ -158,14 +165,22 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
 @functools.lru_cache(maxsize=None)
 def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionTable:
     elems = tuple(lattice.elements(ctx, interval))
-    by_psi = {maps.psi(u, ctx): u for u in elems}
+    words = [X_ORDER.word(maps.psi(u, ctx)) for u in elems]
+    lead_pairs: dict[Word, tuple[PluckerVar, PluckerVar]] = {}
     counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for i, u in enumerate(elems):
-        for v in elems[i:]:
+    for i, (u, wu) in enumerate(zip(elems, words)):
+        for v, wv in zip(elems[i:], words[i:]):
             if lattice.leq(u, v):
-                md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
+                lead = tuple(sorted(wu + wv))
+                if lead in lead_pairs:
+                    raise InternalInconsistencyError(
+                        f"monomial admits two standard factorizations: "
+                        f"{lead_pairs[lead]!r} and {(u, v)!r}"
+                    )
+                lead_pairs[lead] = (u, v)
+                md = _multidegree(u, v)
                 counts[md] = counts.get(md, 0) + 1
-    return SubductionTable(interval_mask(ctx, interval), by_psi, counts)
+    return SubductionTable(interval_mask(ctx, interval), lead_pairs, counts)
 
 
 def packed_image(u: PluckerVar, ctx: Context, table: SubductionTable) -> PackedPoly:
@@ -206,41 +221,16 @@ def factor_initial(
     """The unique standard pair (u, v), u <= v, with psi(u)*psi(v) == mono.
 
     u and v range over the elements of the interval (all elements without
-    one).  psi(u) uses every matrix row exactly once, so a product
-    psi(u)*psi(v) holds exactly two variables (with multiplicity) in each
-    row, and psi(u) is one choice of one of them per row, psi(v) the rest.
-    The at most 2^p choices are looked up in the table psi(u) -> u of
-    subduction_table.  No factorization means the monomial lies outside
-    the initial algebra; two factorizations cannot happen if the standard
-    monomials are linearly independent, so that case is an internal error.
+    one).  The pair is looked up by the X_ORDER word of mono in the table's
+    lead_pairs.  No factorization means the monomial lies outside the
+    initial algebra; two factorizations cannot happen if the standard
+    monomials are linearly independent, so building the table raises an
+    internal error on the first monomial seen twice.
     """
-    by_psi = subduction_table(ctx, interval).by_psi
-    rows: dict[int, list] = {}
-    for x, e in mono:
-        rows.setdefault(x.row, []).extend([x] * e)
-    if len(rows) != ctx.p or any(len(xs) != 2 for xs in rows.values()):
+    pair = subduction_table(ctx, interval).lead_pairs.get(X_ORDER.word(mono))
+    if pair is None:
         raise NotInInitialAlgebraError(mono)
-    # XVar sorts row first, so one variable per row taken in row order is
-    # already a monomial in canonical storage order.
-    per_row = [rows[i] for i in sorted(rows)]
-    found = []
-    for picks in itertools.product((0, 1), repeat=ctx.p):
-        if any(pick and xs[0] == xs[1] for pick, xs in zip(picks, per_row)):
-            continue
-        u = by_psi.get(tuple((xs[k], 1) for k, xs in zip(picks, per_row)))
-        if u is None:
-            continue
-        v = by_psi.get(tuple((xs[1 - k], 1) for k, xs in zip(picks, per_row)))
-        if v is None or not lattice.leq(u, v):
-            continue
-        found.append((u, v))
-    if not found:
-        raise NotInInitialAlgebraError(mono)
-    if len(found) > 1:
-        raise InternalInconsistencyError(
-            f"monomial admits {len(found)} standard factorizations: {found!r}"
-        )
-    return found[0]
+    return pair
 
 
 def subduct(
@@ -253,13 +243,14 @@ def subduct(
     f is a polynomial homogeneous of matrix-degree 2p, or a pair (u, v)
     standing for the product of their generator images.  The loop runs on
     X_ORDER words (see TermOrder.word): all terms have degree 2p, so the
-    leading term is the largest word.  Each step factors the leading
-    monomial through the psi table (factor_initial) and cancels it with
-    the image of that standard pair.  A leading monomial with no standard
-    factorization stops the run and is reported as the witness.  Every
-    step stays in the multidegree of the input, whose standard pairs are
-    counted in the table, so more steps than that count plus one is an
-    internal error.
+    leading term is the largest word.  Each step looks the leading word up
+    in the table's lead_pairs and cancels it with the image of that
+    standard pair.  A leading word with no standard pair stops the run and
+    its monomial is reported as the witness.  Every step stays in the
+    multidegree of the input, whose standard pairs are counted in the
+    table, so more steps than that count plus one is an internal error.
+    The input's multidegree is that of the first pair: psi(u) uses each
+    column of u once, at levels summing to u.shift.
     """
     table = subduction_table(ctx, interval)
     if isinstance(f, Polynomial):
@@ -276,15 +267,13 @@ def subduct(
     steps: list[tuple[tuple[PluckerVar, PluckerVar], object]] = []
     while g:
         word = max(g)
-        mono = X_ORDER.mono(word)
-        try:
-            u, v = factor_initial(mono, ctx, interval)
-        except NotInInitialAlgebraError:
+        pair = table.lead_pairs.get(word)
+        if pair is None:
             remainder = Polynomial({X_ORDER.mono(w): c for w, c in g.items()})
-            return SubductionTrace(steps, remainder, witness=mono)
+            return SubductionTrace(steps, remainder, witness=X_ORDER.mono(word))
+        u, v = pair
         if cap is None:
-            md = (polyring.column_multiset(mono), polyring.level_sum(mono))
-            cap = table.counts.get(md, 0) + 1
+            cap = table.counts[_multidegree(u, v)] + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
         image_u, image_v = packed_image(u, ctx, table), packed_image(v, ctx, table)
@@ -432,11 +421,7 @@ def kernel_quadrics_oracle(
     groups: dict[tuple, list[tuple[PluckerVar, PluckerVar]]] = {}
     for i, u in enumerate(elems):
         for v in elems[i:]:
-            md = (
-                tuple(sorted(u.cols + v.cols)),
-                u.shift + v.shift,
-            )
-            groups.setdefault(md, []).append((u, v))
+            groups.setdefault(_multidegree(u, v), []).append((u, v))
     relations: list[Polynomial] = []
     for md in sorted(groups):
         pairs = groups[md]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import multiprocessing
@@ -7,7 +8,7 @@ import pathlib
 import pytest
 
 from qgrass import cli, maps, polyring, straighten
-from qgrass.errors import SagbiFailureError
+from qgrass.errors import InternalInconsistencyError, SagbiFailureError
 from qgrass.lattice import Context, parse_var
 
 from conftest import golden_text
@@ -109,6 +110,25 @@ def test_groebner_interval():
     lines = out.splitlines()
     assert len(lines) == 18
     assert "346^1*125^2 - 246^1*135^2 + 146^1*235^2" in lines
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["groebner"],
+            "539a66d07ecc86f778b2117eb91c148892fc20abcb859a7494957a8df8445a35",
+        ),
+        (
+            ["--compact", "groebner", "--interval", "124^0", "356^2"],
+            "6b0f5558b2fa7871f03f3f002fef2d3e8e6116af54b3912903081fc4963739c0",
+        ),
+    ],
+)
+def test_groebner_stdout_sha256(argv, digest):
+    code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "--q", "3", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_schubert_images():
@@ -323,3 +343,26 @@ def test_sagbi_check_failures_through_worker_processes(raw_images):
     serial = straighten.sagbi_check(ctx, jobs=1)
     assert serial["failures"]
     assert straighten.sagbi_check(ctx, jobs=2) == serial
+
+
+@pytest.fixture
+def fresh_tables():
+    """Clear the subduction table cache before and after the test, so a
+    table built under a patch neither meets a cached one nor outlives it."""
+    straighten._subduction_table.cache_clear()
+    yield
+    straighten._subduction_table.cache_clear()
+
+
+def test_two_pairs_with_one_lead_monomial_are_internal_errors(fresh_tables, monkeypatch):
+    # psi(1,4^0) := psi(2,3^0): the standard pairs (1,4^0)^2 and (2,3^0)^2
+    # then share one lead monomial
+    ctx = Context(2, 2, 1, 2)
+    a, b = parse_var("1,4^0"), parse_var("2,3^0")
+    real_psi = maps.psi
+    monkeypatch.setattr(maps, "psi", lambda u, c: real_psi(b if u == a else u, c))
+    with pytest.raises(InternalInconsistencyError, match="two standard factorizations"):
+        straighten.subduction_table(ctx)
+    code, out = run_cli("--p", "2", "--m", "2", "--n", "1", "--q", "2", "sagbi-check")
+    assert code == 2
+    assert out == ""

@@ -1,8 +1,10 @@
 """Differential tests: each fast path of subduction against the slow path it
 replaced, kept here as the reference.
 
-- factor_initial looks the leading monomial up in the psi table; the
-  reference scans every element u and pattern-matches psi(u)'s quotient.
+- factor_initial looks the leading monomial's word up in the table's
+  lead_pairs, the map from the word of psi(u)*psi(v) to each standard
+  pair (u, v); the reference scans every element u and pattern-matches
+  psi(u)'s quotient.
 - The step cap reads the table's count of standard pairs per multidegree;
   the reference enumerates them with standard_monomials.
 - TermOrder.key ranks monomials; the references are TermOrder.compare and
@@ -155,11 +157,16 @@ def all_multidegrees(elems):
     + [(Context(3, 3, 1, 3), (parse_var(b), parse_var(t))) for b, t in INTERVALS_3313],
 )
 def test_step_cap_counts_match_standard_monomials(ctx, interval):
-    counts = subduction_table(ctx, interval).counts
+    table = subduction_table(ctx, interval)
+    counts = table.counts
     mds = all_multidegrees(elements(ctx, interval))
     assert set(counts) <= mds
     for md in mds:
         assert counts.get(md, 0) == len(standard_monomials(ctx, 2, md, interval))
+    assert len(table.lead_pairs) == sum(counts.values())
+    for w, (u, v) in table.lead_pairs.items():
+        assert lattice.leq(u, v)
+        assert w == X_ORDER.word(psi_product(u, v, ctx))
 
 
 # -- the degrevlex sort key ---------------------------------------------------
@@ -261,6 +268,11 @@ def test_key_sorts_like_dense_key(order, variables):
 # -- subduction on words --------------------------------------------------------
 
 
+def column_multiset(mono):
+    """Sorted multiset of matrix columns used by an X-monomial."""
+    return tuple(sorted(v.col for v, e in mono for _ in range(e)))
+
+
 def subduct_polynomial(f, ctx, interval=None):
     """Reference: the subduction loop on Polynomial and Mono, as it was
     before it ran on words."""
@@ -290,7 +302,7 @@ def subduct_polynomial(f, ctx, interval=None):
         except NotInInitialAlgebraError:
             return SubductionTrace(steps, f, witness=mono)
         if cap is None:
-            md = (polyring.column_multiset(mono), polyring.level_sum(mono))
+            md = (column_multiset(mono), polyring.level_sum(mono))
             cap = table.counts.get(md, 0) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
