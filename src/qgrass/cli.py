@@ -189,9 +189,7 @@ def _dispatch(args, ctx: Context, out) -> int:
         top = _parse_var(args.top, ctx)
         bot = _parse_var(args.skew, ctx) if args.skew else None
         mask = maps.schubert_mask(ctx, top, bot)
-        members = lattice.elements(ctx, (bot, top)) if bot else [
-            u for u in lattice.elements(ctx) if lattice.leq(u, top)
-        ]
+        members = lattice.elements(ctx, (bot or lattice.bottom(ctx), top))
         images = [
             (u, maps.apply_hom(polyring.Polynomial.variable(u), ctx, mask))
             for u in members

@@ -256,7 +256,8 @@ def incomparable_pairs(
     pairs = []
     for i, u in enumerate(elems):
         for v in elems[i + 1 :]:
-            if incomparable(u, v):
+            # elems is a linear extension, so v <= u cannot hold here
+            if not leq(u, v):
                 pairs.append((u, v))
     return pairs
 

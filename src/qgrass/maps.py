@@ -1,11 +1,14 @@
 """Generator homomorphisms and cell-specialization masks.
 
 phi sends a lattice variable to a coefficient of a maximal minor of the
-level-graded matrix; psi is its leading monomial in closed form; chi is the
-corresponding row-consecutive minor of the level-stacked matrix; pi expands
-a variable over Young-sequence variables.  Masks zero out matrix entries to
+level-graded matrix; psi is its leading monomial; chi is the corresponding
+row-consecutive minor of the level-stacked matrix; pi expands a variable
+over Young-sequence variables.  Masks zero out matrix entries to
 parameterize (skew) cells, and apply_hom / minor_map evaluate the induced
 ring maps.
+
+Only lattice.to_young / from_young split a shift into matrix levels: psi,
+psi_invert and the cell masks are all read off that embedding.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 from typing import Optional
 
 from . import lattice, polyring
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, NotInImageError
 from .lattice import Context, PluckerVar, YoungSeq
 from .polyring import Mono, Polynomial, XVar
 
@@ -43,21 +46,19 @@ def phi(u: PluckerVar, ctx: Context) -> Polynomial:
 
 
 def psi(u: PluckerVar, ctx: Context) -> Mono:
-    """Closed form of the leading monomial of phi(u).
+    """Leading monomial of phi(u): the antidiagonal of the stacked minor on
+    the Young sequence of u.
 
-    Writing the shift as p*l + r with 0 <= r < p: rows r+1..p pick the top
-    p-r columns in reverse at level l, rows 1..r pick the bottom r columns
-    in reverse at level l+1.
+    Row i takes the (p+1-i)-th entry of to_young(u), so that a shift
+    p*l + r puts rows r+1..p at level l and rows 1..r at level l+1.
     """
     lattice.validate_var(u, ctx, bound_shift=False)
-    p = ctx.p
-    l, r = divmod(u.shift, p)
-    pairs = []
-    for k, i in enumerate(range(r + 1, p + 1)):
-        pairs.append((XVar(i, u.cols[p - 1 - k], l), 1))
-    for k, i in enumerate(range(1, r + 1)):
-        pairs.append((XVar(i, u.cols[r - 1 - k], l + 1), 1))
-    return polyring.mono_from_pairs(pairs)
+    w = ctx.width
+    entries = lattice.to_young(u, ctx).entries
+    return polyring.mono_from_pairs(
+        (XVar(i, residue(c, w), stacked_level(c, w)), 1)
+        for i, c in enumerate(reversed(entries), start=1)
+    )
 
 
 def psi_invert(mono: Mono, ctx: Context) -> Optional[PluckerVar]:
@@ -67,28 +68,10 @@ def psi_invert(mono: Mono, ctx: Context) -> Optional[PluckerVar]:
     rows = sorted(v.row for v, _ in mono)
     if rows != list(range(1, ctx.p + 1)):
         return None
-    levels = sorted({v.level for v, _ in mono})
-    if len(levels) == 1:
-        l, r = levels[0], 0
-    elif len(levels) == 2 and levels[1] == levels[0] + 1:
-        l = levels[0]
-        r = sum(1 for v, _ in mono if v.level == l + 1)
-    else:
-        return None
-    cols = [0] * ctx.p
-    for v, _ in mono:
-        if v.level == l:
-            if v.row <= r:
-                return None
-            cols[ctx.p + r - v.row] = v.col
-        else:
-            if v.row > r:
-                return None
-            cols[r - v.row] = v.col
-    if any(cols[i] >= cols[i + 1] for i in range(ctx.p - 1)):
-        return None
-    u = PluckerVar(tuple(cols), ctx.p * l + r)
-    if u.cols[0] < 1 or u.cols[-1] > ctx.width:
+    seq = YoungSeq(tuple(sorted(v.level * ctx.width + v.col for v, _ in mono)))
+    try:
+        u = lattice.from_young(seq, ctx)
+    except (InvalidInputError, NotInImageError):
         return None
     return u if psi(u, ctx) == mono else None
 
@@ -145,21 +128,13 @@ def pi(u: PluckerVar, ctx: Context) -> Polynomial:
 # -- masks --------------------------------------------------------------------
 
 
-def _col_at(cols: tuple[int, ...], nu: int, hi: int) -> int:
-    """Column sequence with the usual sentinels: 0 below, +infinity above."""
-    if nu <= 0:
-        return 0
-    if nu > len(cols):
-        return hi
-    return cols[nu - 1]
-
-
 def schubert_mask(
     ctx: Context,
     top: PluckerVar,
     bottom: Optional[PluckerVar] = None,
 ) -> SpecMask:
-    """Zero pattern specializing the matrix onto a cell or skew cell.
+    """Zero pattern specializing the matrix onto a cell or skew cell: the
+    young_mask of the Young sequences of top and (optionally) bottom.
 
     The top element caps each row's surviving entries from the right, the
     optional bottom element caps them from the left; together every row
@@ -170,33 +145,11 @@ def schubert_mask(
         lattice.validate_var(bottom, ctx, bound_shift=False)
         if not lattice.leq(bottom, top):
             raise InvalidInputError(f"{bottom!r} is not below {top!r}")
-    inf = ctx.width + 1
-    p = ctx.p
-    zeroed = set()
-    s, r = divmod(top.shift, p)
-    for i in range(1, p + 1):
-        for j in range(1, ctx.width + 1):
-            for l in range(ctx.n + 1):
-                if (
-                    (l > s + 1 and i <= r)
-                    or (l == s + 1 and j > _col_at(top.cols, r + 1 - i, inf))
-                    or (l > s and i > r)
-                    or (l == s and j > _col_at(top.cols, p + r + 1 - i, inf))
-                ):
-                    zeroed.add(XVar(i, j, l))
-    if bottom is not None:
-        s, r = divmod(bottom.shift, p)
-        for i in range(1, p + 1):
-            for j in range(1, ctx.width + 1):
-                for l in range(ctx.n + 1):
-                    if (
-                        (l < s + 1 and i <= r)
-                        or (l == s + 1 and j < _col_at(bottom.cols, r + 1 - i, inf))
-                        or (l < s and i > r)
-                        or (l == s and j < _col_at(bottom.cols, p + r + 1 - i, inf))
-                    ):
-                        zeroed.add(XVar(i, j, l))
-    return frozenset(zeroed)
+    return young_mask(
+        ctx,
+        lattice.to_young(top, ctx),
+        lattice.to_young(bottom, ctx) if bottom is not None else None,
+    )
 
 
 def young_mask(
@@ -207,8 +160,9 @@ def young_mask(
     """Mask keeping, in row i, the stacked columns between the sequence bounds.
 
     Row i keeps columns from bottom[p+1-i] through top[p+1-i]; the window
-    bounds are attached to the rows in reverse order so that the mask of a
-    lattice element's image sequence coincides with its cell mask.
+    bounds are attached to the rows in reverse order, as in psi.  On the
+    Young sequences of lattice elements this is the definition of the cell
+    and skew-cell masks (schubert_mask).
     """
     p, w = ctx.p, ctx.width
     zeroed = set()

@@ -131,6 +131,29 @@ def test_groebner_stdout_sha256(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["schubert", "235^2"],
+            "dd2c49d822bcb5c46fb171842221ceb659548cbace24d4bee62de9108112eda6",
+        ),
+        (
+            ["--format", "json", "schubert", "456^3", "--skew", "123^0"],
+            "da70db89d46cca8a38482ad39b99c40fdbc2c5a50d514f7b549c8a617077049c",
+        ),
+        (
+            ["--q", "2", "groebner"],
+            "ea3ca1a080778776d22c604453389caaecf8a9287a5679eabb0915a0b4c38204",
+        ),
+    ],
+)
+def test_mask_paths_stdout_sha256(argv, digest):
+    code, out = run_cli("--p", "3", "--m", "3", "--n", "1", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_schubert_images():
     code, out = run_cli(
         "--p", "3", "--m", "3", "--n", "1", "--compact",

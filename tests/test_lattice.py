@@ -213,6 +213,33 @@ def test_canonical_order_is_linear_extension():
                 assert linear_key(u, C331) < linear_key(v, C331)
 
 
+LADDER = [(2, 2, 1, 2), (2, 3, 1, 2), (3, 3, 1, 1), (3, 3, 1, 3), (3, 4, 1, 3), (3, 3, 2, 6)]
+
+
+def _incomparable_pairs_two_sided(ctx, interval=None):
+    elems = elements(ctx, interval)
+    return [
+        (u, v)
+        for i, u in enumerate(elems)
+        for v in elems[i + 1 :]
+        if incomparable(u, v)
+    ]
+
+
+@pytest.mark.parametrize("params", LADDER)
+def test_incomparable_pairs_match_two_sided_definition(params):
+    ctx = Context(*params)
+    assert incomparable_pairs(ctx) == _incomparable_pairs_two_sided(ctx)
+    elems = elements(ctx)
+    for bot in elems[::11]:
+        for topv in elems[::13]:
+            if leq(bot, topv):
+                interval = (bot, topv)
+                assert incomparable_pairs(ctx, interval) == (
+                    _incomparable_pairs_two_sided(ctx, interval)
+                )
+
+
 def test_p1_degenerate_chain():
     ctx = Context(1, 1, 0, 0)
     assert elements(ctx) == [PluckerVar((1,), 0), PluckerVar((2,), 0)]

@@ -1,3 +1,6 @@
+import itertools
+from typing import Optional
+
 import pytest
 
 from qgrass.errors import DomainError, InvalidInputError
@@ -17,7 +20,7 @@ from qgrass.maps import (
     young_image,
     young_mask,
 )
-from qgrass.polyring import Polynomial, X_ORDER, XVar, emit_text, initial_form
+from qgrass.polyring import Mono, Polynomial, X_ORDER, XVar, emit_text, initial_form
 
 from conftest import golden_text
 
@@ -271,3 +274,161 @@ def test_composition_identity(ctx333):
             lhs = apply_hom(Polynomial.variable(gamma), ctx333, mask)
             rhs = young_image(pi(gamma, ctx333), ctx333, ymask)
             assert lhs == rhs
+
+
+# -- references: the closed forms that split the shift by hand ----------------
+
+
+def psi_reference(u: PluckerVar, ctx: Context) -> Mono:
+    """Closed form of the leading monomial of phi(u).
+
+    Writing the shift as p*l + r with 0 <= r < p: rows r+1..p pick the top
+    p-r columns in reverse at level l, rows 1..r pick the bottom r columns
+    in reverse at level l+1.
+    """
+    lattice.validate_var(u, ctx, bound_shift=False)
+    p = ctx.p
+    l, r = divmod(u.shift, p)
+    pairs = []
+    for k, i in enumerate(range(r + 1, p + 1)):
+        pairs.append((XVar(i, u.cols[p - 1 - k], l), 1))
+    for k, i in enumerate(range(1, r + 1)):
+        pairs.append((XVar(i, u.cols[r - 1 - k], l + 1), 1))
+    return polyring.mono_from_pairs(pairs)
+
+
+def psi_invert_reference(mono: Mono, ctx: Context) -> Optional[PluckerVar]:
+    """Recover u with psi(u) == mono, or None when mono is not of that shape."""
+    if polyring.mono_deg(mono) != ctx.p or any(e != 1 for _, e in mono):
+        return None
+    rows = sorted(v.row for v, _ in mono)
+    if rows != list(range(1, ctx.p + 1)):
+        return None
+    levels = sorted({v.level for v, _ in mono})
+    if len(levels) == 1:
+        l, r = levels[0], 0
+    elif len(levels) == 2 and levels[1] == levels[0] + 1:
+        l = levels[0]
+        r = sum(1 for v, _ in mono if v.level == l + 1)
+    else:
+        return None
+    cols = [0] * ctx.p
+    for v, _ in mono:
+        if v.level == l:
+            if v.row <= r:
+                return None
+            cols[ctx.p + r - v.row] = v.col
+        else:
+            if v.row > r:
+                return None
+            cols[r - v.row] = v.col
+    if any(cols[i] >= cols[i + 1] for i in range(ctx.p - 1)):
+        return None
+    u = PluckerVar(tuple(cols), ctx.p * l + r)
+    if u.cols[0] < 1 or u.cols[-1] > ctx.width:
+        return None
+    return u if psi_reference(u, ctx) == mono else None
+
+
+def _col_at(cols: tuple[int, ...], nu: int, hi: int) -> int:
+    """Column sequence with the usual sentinels: 0 below, +infinity above."""
+    if nu <= 0:
+        return 0
+    if nu > len(cols):
+        return hi
+    return cols[nu - 1]
+
+
+def schubert_mask_reference(
+    ctx: Context,
+    top: PluckerVar,
+    bottom: Optional[PluckerVar] = None,
+):
+    """Zero pattern specializing the matrix onto a cell or skew cell.
+
+    The top element caps each row's surviving entries from the right, the
+    optional bottom element caps them from the left; together every row
+    keeps one contiguous window of stacked columns.
+    """
+    lattice.validate_var(top, ctx, bound_shift=False)
+    if bottom is not None:
+        lattice.validate_var(bottom, ctx, bound_shift=False)
+        if not lattice.leq(bottom, top):
+            raise InvalidInputError(f"{bottom!r} is not below {top!r}")
+    inf = ctx.width + 1
+    p = ctx.p
+    zeroed = set()
+    s, r = divmod(top.shift, p)
+    for i in range(1, p + 1):
+        for j in range(1, ctx.width + 1):
+            for l in range(ctx.n + 1):
+                if (
+                    (l > s + 1 and i <= r)
+                    or (l == s + 1 and j > _col_at(top.cols, r + 1 - i, inf))
+                    or (l > s and i > r)
+                    or (l == s and j > _col_at(top.cols, p + r + 1 - i, inf))
+                ):
+                    zeroed.add(XVar(i, j, l))
+    if bottom is not None:
+        s, r = divmod(bottom.shift, p)
+        for i in range(1, p + 1):
+            for j in range(1, ctx.width + 1):
+                for l in range(ctx.n + 1):
+                    if (
+                        (l < s + 1 and i <= r)
+                        or (l == s + 1 and j < _col_at(bottom.cols, r + 1 - i, inf))
+                        or (l < s and i > r)
+                        or (l == s and j < _col_at(bottom.cols, p + r + 1 - i, inf))
+                    ):
+                        zeroed.add(XVar(i, j, l))
+    return frozenset(zeroed)
+
+
+DIFFERENTIAL_CONTEXTS = [
+    (1, 3, 1, 1),
+    (2, 2, 1, 2),
+    (2, 3, 1, 2),
+    (2, 2, 2, 4),
+    (3, 2, 1, 3),
+    (3, 3, 1, 2),
+    (3, 3, 1, 3),
+    (4, 2, 1, 4),
+]
+
+
+@pytest.mark.parametrize("params", DIFFERENTIAL_CONTEXTS)
+def test_psi_matches_closed_form(params):
+    ctx = Context(*params)
+    for u in elements(ctx):
+        assert psi(u, ctx) == psi_reference(u, ctx)
+
+
+@pytest.mark.parametrize("params", DIFFERENTIAL_CONTEXTS)
+def test_schubert_mask_matches_reference(params):
+    ctx = Context(*params)
+    elems = elements(ctx)
+    for i, top in enumerate(elems):
+        assert schubert_mask(ctx, top) == schubert_mask_reference(ctx, top)
+        # a linear extension: every element below top comes no later
+        for bot in elems[: i + 1]:
+            if leq(bot, top):
+                assert schubert_mask(ctx, top, bot) == schubert_mask_reference(
+                    ctx, top, bot
+                )
+
+
+@pytest.mark.parametrize("params", DIFFERENTIAL_CONTEXTS)
+def test_psi_invert_matches_reference(params):
+    ctx = Context(*params)
+    for u in elements(ctx):
+        mono = psi(u, ctx)
+        assert psi_invert(mono, ctx) == psi_invert_reference(mono, ctx) == u
+    cols, levels = range(1, ctx.width + 2), range(ctx.n + 2)
+    if len(cols) * len(levels) > 18:
+        return
+    cells = list(itertools.product(cols, levels))
+    for choice in itertools.product(cells, repeat=ctx.p):
+        mono = polyring.mono_from_pairs(
+            (XVar(i, j, l), 1) for i, (j, l) in enumerate(choice, start=1)
+        )
+        assert psi_invert(mono, ctx) == psi_invert_reference(mono, ctx)
