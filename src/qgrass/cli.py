@@ -190,11 +190,8 @@ def _dispatch(args, ctx: Context, out) -> int:
         bot = _parse_var(args.skew, ctx) if args.skew else None
         mask = maps.schubert_mask(ctx, top, bot)
         members = lattice.elements(ctx, (bot or lattice.bottom(ctx), top))
-        images = [
-            (u, maps.apply_hom(polyring.Polynomial.variable(u), ctx, mask))
-            for u in members
-        ]
-        zeroed = sorted(mask, key=lambda v: (v.level, v.row, v.col))
+        images = [(u, maps.generator_image(u, ctx, mask)) for u in members]
+        zeroed = sorted(mask, key=polyring.X_ORDER.var_key)
         if args.format == "json":
             doc = {
                 "mask": [[v.row, v.col, v.level] for v in zeroed],

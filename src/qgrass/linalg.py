@@ -83,12 +83,7 @@ class Eliminator:
         monic = {k: v * inv for k, v in residual.items()}
         # tag tracks: monic = (incoming - sum combo_j . row_j) / lead
         new_tag = {k: -v * inv for k, v in combo.items()}
-        for k, v in (tag or {}).items():
-            s = new_tag.get(k, 0) + v * inv
-            if s:
-                new_tag[k] = s
-            else:
-                new_tag.pop(k, None)
+        _add_scaled(new_tag, tag or {}, inv)
         # back-substitute into existing rows to keep the basis reduced
         for base, base_tag in self.pivots.values():
             if c in base:

@@ -160,11 +160,7 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + ca * cb
         res = Polynomial()
         res.terms = {m: _norm_coeff(c) for m, c in out.items() if c}
         return res
@@ -443,9 +439,17 @@ def _format_coeff(c: Coeff) -> str:
 
 
 def _parse_coeff(text: str) -> Coeff:
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+    """A coefficient "a" or "a/b" with b nonzero (schemas/polynomial.json)."""
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", text):
+        raise InvalidInputError(f"bad coefficient {text!r}")
+    return Fraction(text) if "/" in text else int(text)
+
+
+def _exponent(e) -> int:
+    """A monomial exponent: an integer >= 1 (schemas/polynomial.json)."""
+    if type(e) is not int or e < 1:
+        raise InvalidInputError(f"exponent must be an integer >= 1, got {e!r}")
+    return e
 
 
 def emit_text(
@@ -505,7 +509,7 @@ def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
                 continue
             if "**" in factor:
                 varpart, _, exppart = factor.rpartition("**")
-                e = int(exppart)
+                e = _exponent(int(exppart) if exppart.isdecimal() else exppart)
             else:
                 varpart, e = factor, 1
             pairs.append((parse_variable(varpart, kind, p=p), e))
@@ -561,13 +565,19 @@ def emit_json(poly: Polynomial, kind: str, ctx: Optional[Context] = None) -> str
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _fields(obj, *keys) -> list:
+    """The values of a JSON object that has exactly the given keys."""
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        raise InvalidInputError(f"expected an object with the keys {keys}, got {obj!r}")
+    return [obj[k] for k in keys]
+
+
 def parse_json(text: str) -> tuple[Polynomial, str]:
-    doc = json.loads(text)
-    kind = doc["vars"]
+    kind, terms = _fields(json.loads(text), "vars", "terms")
+    if kind not in ("X", "C", "J"):
+        raise InvalidInputError(f"unknown variable universe {kind!r}")
     acc: dict = {}
-    for t in doc["terms"]:
-        m = mono_from_pairs(
-            (parse_variable(vs, kind), int(e)) for vs, e in t["m"]
-        )
-        acc[m] = acc.get(m, 0) + _parse_coeff(t["c"])
+    for c, pairs in (_fields(t, "c", "m") for t in terms):
+        m = mono_from_pairs((parse_variable(vs, kind), _exponent(e)) for vs, e in pairs)
+        acc[m] = acc.get(m, 0) + _parse_coeff(c)
     return Polynomial(acc), kind

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -137,15 +137,12 @@ class SubductionTable:
     the initial algebra, one standard pair each (the Hibi toric ring), so
     the map is the whole factoring step of subduction;
     counts: the number of standard pairs u <= v (u == v included) per
-    multidegree, keyed by _multidegree;
-    images: u -> the masked generator image of u as (X_ORDER word,
-    coefficient) terms, leading term first, filled lazily by packed_image.
+    multidegree, keyed by _multidegree.
     """
 
     mask: SpecMask
     lead_pairs: dict[Word, tuple[PluckerVar, PluckerVar]]
     counts: dict[tuple[tuple[int, ...], int], int]
-    images: dict[PluckerVar, PackedPoly] = field(default_factory=dict)
 
 
 def _multidegree(u: PluckerVar, v: PluckerVar) -> tuple[tuple[int, ...], int]:
@@ -157,7 +154,7 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
     """The cached SubductionTable of a context and optional interval.
 
     One table per (ctx, interval), however the interval is passed (or left
-    out), so all callers share its image cache.
+    out), so all callers share its lead_pairs.
     """
     return _subduction_table(ctx, interval)
 
@@ -183,16 +180,13 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
     return SubductionTable(interval_mask(ctx, interval), lead_pairs, counts)
 
 
-def packed_image(u: PluckerVar, ctx: Context, table: SubductionTable) -> PackedPoly:
-    """The table's packed image of u, built on first use."""
-    img = table.images.get(u)
-    if img is None:
-        poly = maps.generator_image(u, ctx, table.mask)
-        img = sorted(
-            ((X_ORDER.word(m), c) for m, c in poly.terms.items()), reverse=True
-        )
-        table.images[u] = img
-    return img
+@functools.lru_cache(maxsize=None)
+def packed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> PackedPoly:
+    """The masked generator image of u as (X_ORDER word, coefficient) terms,
+    leading term first; a subduction table and the oracle with equal masks
+    share it."""
+    poly = maps.generator_image(u, ctx, mask)
+    return sorted(((X_ORDER.word(m), c) for m, c in poly.terms.items()), reverse=True)
 
 
 def _add_product(g: dict, a: PackedPoly, b: PackedPoly, factor) -> None:
@@ -261,7 +255,7 @@ def subduct(
     else:
         u, v = f
         g = {}
-        _add_product(g, packed_image(u, ctx, table), packed_image(v, ctx, table), 1)
+        _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
 
     cap = None
     steps: list[tuple[tuple[PluckerVar, PluckerVar], object]] = []
@@ -276,7 +270,7 @@ def subduct(
             cap = table.counts[_multidegree(u, v)] + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
-        image_u, image_v = packed_image(u, ctx, table), packed_image(v, ctx, table)
+        image_u, image_v = packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask)
         for w, img in ((u, image_u), (v, image_v)):
             if not img:
                 raise InternalInconsistencyError(f"zero image for {w!r}")
@@ -408,16 +402,16 @@ def kernel_quadrics_oracle(
     All products of two generator images are expanded and the relations
     among them solved exactly, grouped by the (column multiset, shift sum)
     multidegree under which the kernel splits (the diagonal blocks of a
-    Macaulay matrix).  The images are the subduction table's packed ones,
+    Macaulay matrix).  The images are packed_image under the interval_mask,
     and each product is a dict X_ORDER word -> coefficient built by
     _add_product; all products in a group have degree 2p, where word order
-    is degrevlex, so the words are their own column keys.  Nothing else of
-    the table is read and subduct is never called, so the oracle stays
-    independent of subduction.  The result is a reduced row-echelon basis
-    in the canonical monomial coordinates.
+    is degrevlex, so the words are their own column keys.  No subduction
+    table is built (so psi is never called) and subduct is never called, so
+    the oracle stays independent of subduction.  The result is a reduced
+    row-echelon basis in the canonical monomial coordinates.
     """
     elems = lattice.elements(ctx, interval)
-    table = subduction_table(ctx, interval)
+    mask = interval_mask(ctx, interval)
     groups: dict[tuple, list[tuple[PluckerVar, PluckerVar]]] = {}
     for i, u in enumerate(elems):
         for v in elems[i:]:
@@ -428,7 +422,7 @@ def kernel_quadrics_oracle(
         rows = []
         for u, v in pairs:
             row: dict = {}
-            _add_product(row, packed_image(u, ctx, table), packed_image(v, ctx, table), 1)
+            _add_product(row, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
             rows.append(row)
         for combo in linalg.nullspace(rows, _word_key):
             relations.append(

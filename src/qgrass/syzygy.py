@@ -96,11 +96,7 @@ def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
         if upper is None:
             continue
         mono = polyring.mono_from_pairs([(upper, 1), (lower, 1)])
-        c = acc.get(mono, 0) + sign * s1 * s2
-        if c:
-            acc[mono] = c
-        else:
-            acc.pop(mono, None)
+        acc[mono] = acc.get(mono, 0) + sign * s1 * s2
     out = Polynomial(acc)
     t_mono = polyring.mono_from_pairs([(u, 1), (v, 1)])
     if out.coefficient(t_mono) != 1:
@@ -143,13 +139,9 @@ def quantum_syzygy_v(t: lattice.Tableau, ctx: Context) -> Polynomial:
 
 def non_standard_tableaux(ctx: Context) -> list[lattice.Tableau]:
     """Canonical two-row non-standard tableaux: one per incomparable pair,
-    rows in canonical linear-extension order (shifts weakly increase)."""
-    out = []
-    for u, v in lattice.incomparable_pairs(ctx):
-        if lattice.linear_key(u, ctx) > lattice.linear_key(v, ctx):
-            u, v = v, u
-        out.append((u, v))
-    return out
+    rows in canonical linear-extension order (shifts weakly increase), as
+    incomparable_pairs lists them."""
+    return lattice.incomparable_pairs(ctx)
 
 
 def coefficient_relations(ctx: Context) -> list[Polynomial]:

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from qgrass import cli, maps, polyring, straighten
+from qgrass import cli, lattice, maps, polyring, straighten, syzygy
 from qgrass.errors import InternalInconsistencyError, SagbiFailureError
 from qgrass.lattice import Context, parse_var
 
@@ -190,6 +190,26 @@ def test_syzygy_w_and_v():
     )
     assert code == 0
     assert out_v.rstrip("\n") == golden_text("straighten_156_1_234_2.txt")
+
+
+def test_syzygy_w_stdout_sha256():
+    code, out = run_cli(
+        "--p", "3", "--m", "3", "--n", "1", "--compact", "syzygy", "w", "156^1", "234^2"
+    )
+    assert code == 0
+    digest = "362c96b1e146a77b1d4b759020c31831f27a32acb78c1a1e69a9c2930ffd02e9"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_all_skew_syzygies_3313_sha256(ctx333):
+    tableaux = syzygy.non_standard_tableaux(ctx333)
+    assert len(tableaux) == 250
+    out = "".join(
+        polyring.emit_text(syzygy.skew_syzygy_w(t, ctx333), "C", ctx333, compact=True) + "\n"
+        for t in tableaux
+    )
+    digest = "8cc4c258a64b7d8b8af6d1b1f0fa0c5134a27d2a88223cc4298f99cd633ebb15"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_obvious_rank_report():
@@ -389,3 +409,15 @@ def test_two_pairs_with_one_lead_monomial_are_internal_errors(fresh_tables, monk
     code, out = run_cli("--p", "2", "--m", "2", "--n", "1", "--q", "2", "sagbi-check")
     assert code == 2
     assert out == ""
+
+
+def test_kernel_oracle_needs_no_subduction_table(fresh_tables, monkeypatch):
+    # the psi collision above stops every table build, but the oracle
+    # reads only the masked images and still finds one relation per pair
+    ctx = Context(2, 2, 1, 2)
+    a, b = parse_var("1,4^0"), parse_var("2,3^0")
+    real_psi = maps.psi
+    monkeypatch.setattr(maps, "psi", lambda u, c: real_psi(b if u == a else u, c))
+    relations = straighten.kernel_quadrics_oracle(ctx)
+    assert len(relations) == len(lattice.incomparable_pairs(ctx)) == 5
+    assert straighten._subduction_table.cache_info().currsize == 0

@@ -41,6 +41,7 @@ from qgrass.straighten import (
     kernel_quadrics_oracle,
     packed_image,
     reduced_groebner,
+    sagbi_check,
     standard_monomials,
     straightening_relation,
     subduct,
@@ -460,13 +461,23 @@ def test_add_product_matches_polynomial_product():
     for i, u in enumerate(elems):
         for v in elems[i:]:
             g = {}
-            _add_product(g, packed_image(u, ctx, table), packed_image(v, ctx, table), 1)
+            _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
             unpacked = Polynomial({X_ORDER.mono(w): c for w, c in g.items()})
             product = maps.generator_image(u, ctx, table.mask) * maps.generator_image(
                 v, ctx, table.mask
             )
             assert len(unpacked.terms) == len(g)
             assert unpacked == product
+
+
+def test_subduction_reuses_the_kernel_oracles_images():
+    # no interval: the oracle and the subduction table share one mask
+    ctx = CTX3312
+    packed_image.cache_clear()
+    kernel_quadrics_oracle(ctx)
+    assert packed_image.cache_info().misses == len(elements(ctx)) == 60
+    assert sagbi_check(ctx)["failures"] == []
+    assert packed_image.cache_info().misses == 60
 
 
 def test_subduction_table_is_one_object_however_the_interval_is_passed():

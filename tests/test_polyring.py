@@ -231,6 +231,64 @@ def test_json_schema_validation(ctx333):
         jsonschema.validate(json.loads(doc), schema)
 
 
+BAD_TEXT = [
+    "x[1,1,0]**a",
+    "x[1,1,0]**-1",
+    "x[1,1,0]**0",
+    "x[1,1,0]**1.5",
+    "2/0*x[1,1,0]",
+    "x[1,2,0] - 3/00*x[1,1,0]",
+]
+
+
+@pytest.mark.parametrize("text", BAD_TEXT)
+def test_parse_text_refuses_what_the_schema_refuses(text):
+    with pytest.raises(InvalidInputError):
+        parse_text(text, "X")
+
+
+def _term(c, *pairs):
+    return {"c": c, "m": [list(pair) for pair in pairs]}
+
+
+BAD_JSON = [
+    {"vars": "X", "terms": [_term("1", ("x[1,1,0]", -2))]},
+    {"vars": "X", "terms": [_term("1", ("x[1,1,0]", 0))]},
+    {"vars": "X", "terms": [_term("1", ("x[1,1,0]", 1.5))]},
+    {"vars": "X", "terms": [_term("1", ("x[1,1,0]", "2"))]},
+    {"vars": "X", "terms": [_term("1", ("x[1,1,0]", True))]},
+    {"vars": "X", "terms": [_term("1.5", ("x[1,1,0]", 1))]},
+    {"vars": "X", "terms": [_term(2, ("x[1,1,0]", 1))]},
+    {"vars": "Q", "terms": []},
+    {"terms": []},
+    {"vars": "X"},
+    {"vars": "X", "terms": [], "extra": 1},
+    {"vars": "X", "terms": [{"m": [["x[1,1,0]", 1]]}]},
+    {"vars": "X", "terms": [{"c": "1"}]},
+    ["X", []],
+]
+
+
+@pytest.mark.parametrize("doc", BAD_JSON)
+def test_parse_json_refuses_what_the_schema_refuses(doc):
+    import jsonschema
+
+    schema = json.loads(
+        (pathlib.Path(__file__).parent.parent / "schemas" / "polynomial.json").read_text()
+    )
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+    with pytest.raises(InvalidInputError):
+        parse_json(json.dumps(doc))
+
+
+def test_parse_json_refuses_a_zero_denominator():
+    # the schema's coefficient pattern admits "a/0", which names no number
+    doc = {"vars": "X", "terms": [_term("2/0", ("x[1,1,0]", 1))]}
+    with pytest.raises(InvalidInputError):
+        parse_json(json.dumps(doc))
+
+
 def test_emission_is_descending(ctx333):
     from qgrass.maps import phi
 
