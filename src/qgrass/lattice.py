@@ -236,15 +236,23 @@ def elements(
     ctx: Context,
     interval: Optional[tuple[PluckerVar, PluckerVar]] = None,
 ) -> list[PluckerVar]:
-    """All lattice elements (optionally within a closed interval), canonically ordered."""
+    """All lattice elements (optionally within a closed interval), canonically
+    ordered, as a fresh list."""
     if interval is None:
         return list(_all_elements(ctx))
     bot, top = interval
+    return list(_interval_elements(ctx, bot, top))
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_elements(ctx: Context, bot: PluckerVar, top: PluckerVar) -> tuple[PluckerVar, ...]:
+    """The elements of [bot, top], filtered once per interval; an invalid
+    interval raises, and so is not cached."""
     validate_var(bot, ctx)
     validate_var(top, ctx)
     if not leq(bot, top):
         raise InvalidInputError(f"invalid interval: {bot!r} is not below {top!r}")
-    return [u for u in _all_elements(ctx) if leq(bot, u) and leq(u, top)]
+    return tuple(u for u in _all_elements(ctx) if leq(bot, u) and leq(u, top))
 
 
 def incomparable_pairs(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import lattice
-from .errors import InvalidInputError
+from .errors import InternalInconsistencyError, InvalidInputError
 from .lattice import Context, PluckerVar
 
 Coeff = Union[int, Fraction]
@@ -32,7 +32,7 @@ class XVar(NamedTuple):
     level: int
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
+def norm_coeff(c: Coeff) -> Coeff:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -101,7 +101,7 @@ class Polynomial:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = _norm_coeff(c)
+                c = norm_coeff(c)
                 if c:
                     self.terms[m] = c
 
@@ -136,7 +136,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = _norm_coeff(out.get(m, 0) + c)
+            s = norm_coeff(out.get(m, 0) + c)
             if s:
                 out[m] = s
             else:
@@ -162,18 +162,18 @@ class Polynomial:
                 m = mono_mul(ma, mb)
                 out[m] = out.get(m, 0) + ca * cb
         res = Polynomial()
-        res.terms = {m: _norm_coeff(c) for m, c in out.items() if c}
+        res.terms = {m: norm_coeff(c) for m, c in out.items() if c}
         return res
 
     def __rmul__(self, other) -> "Polynomial":
         return self.scale(other)
 
     def scale(self, c: Coeff) -> "Polynomial":
-        c = _norm_coeff(c)
+        c = norm_coeff(c)
         if not c:
             return Polynomial()
         res = Polynomial()
-        res.terms = {m: _norm_coeff(c * v) for m, v in self.terms.items()}
+        res.terms = {m: norm_coeff(c * v) for m, v in self.terms.items()}
         return res
 
     def __pow__(self, e: int) -> "Polynomial":
@@ -227,7 +227,6 @@ class TermOrder:
     def __init__(self, var_key: Callable):
         self.var_key = var_key
         self._var_keys: dict = {}
-        self._key_vars: dict = {}
 
     def compare(self, a: Mono, b: Mono) -> int:
         """-1, 0 or 1 as a < b, a == b, a > b: the order's reference definition."""
@@ -243,15 +242,15 @@ class TermOrder:
                 return 1 if xa < xb else -1
         return 0
 
-    def word(self, m: Mono) -> tuple:
-        """The ascending tuple of m's variable keys, each repeated by its exponent.
+    def key(self, m: Mono):
+        """Sort key agreeing with compare: key(a) < key(b) iff a < b.
 
-        For monomials of equal degree, degrevlex is lexicographic order on
-        words: where words a and b first differ, a[i] < b[i] means that a
-        has the larger exponent at the smallest variable where they differ,
-        so a is the smaller monomial.  The product of two monomials is the
-        sorted concatenation of their words.  Variable keys are memoized per
-        variable, and each key's variable for mono.
+        Degree first, then the word of m: the ascending tuple of its
+        variable keys, each repeated by its exponent.  For monomials of
+        equal degree, degrevlex is lexicographic order on words: where
+        words a and b first differ, a[i] < b[i] means that a has the larger
+        exponent at the smallest variable where they differ, so a is the
+        smaller monomial.  Variable keys are memoized per variable.
         """
         keys = self._var_keys
         w: list = []
@@ -259,25 +258,14 @@ class TermOrder:
             k = keys.get(v)
             if k is None:
                 k = keys[v] = self.var_key(v)
-                self._key_vars[k] = v
             w += [k] * e
         w.sort()
-        return tuple(w)
+        return len(w), tuple(w)
 
-    def mono(self, word: tuple) -> Mono:
-        """The inverse of word, for words it built."""
-        key_vars = self._key_vars
-        return tuple(
-            sorted((key_vars[k], len(list(run))) for k, run in itertools.groupby(word))
-        )
-
-    def key(self, m: Mono):
-        """Sort key agreeing with compare: key(a) < key(b) iff a < b.
-
-        Degree first, then the word (see word).
-        """
-        w = self.word(m)
-        return len(w), w
+    def packer(self, variables: Iterable, max_exp: int) -> "Packer":
+        """A Packer for monomials over the given variables whose exponents
+        are at most max_exp."""
+        return Packer(self, variables, max_exp)
 
     def leading_term(self, poly: Polynomial) -> Optional[tuple[Coeff, Mono]]:
         """(coefficient, monomial) of the largest term; None for zero."""
@@ -289,6 +277,51 @@ class TermOrder:
     def sorted_terms(self, poly: Polynomial) -> list[tuple[Mono, Coeff]]:
         """Terms in strictly descending order."""
         return [(m, poly.terms[m]) for m in sorted(poly.terms, key=self.key, reverse=True)]
+
+
+class Packer:
+    """Monomials over a fixed variable universe as single ints.
+
+    The N variables are indexed by ascending key of the term order, and the
+    exponent of variable k sits in bits [s*(N-1-k), s*(N-k)), so the
+    smallest variable is the top digit.  The digit width s is the least
+    with 2**s > max_exp, so the product of two packed monomials whose
+    exponents sum to at most max_exp is their integer sum, with no carry
+    (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+    and packed exponent vectors", CASC 2007).  For monomials of equal
+    degree the integer order is the reverse of the term order: where two
+    packed monomials first differ, the larger integer has the larger
+    exponent at the smallest variable, so it is the smaller monomial.
+    """
+
+    def __init__(self, order: TermOrder, variables: Iterable, max_exp: int):
+        self.bits = max_exp.bit_length()
+        ordered = sorted(set(variables), key=order.var_key)
+        top = len(ordered) - 1
+        self.offsets = {v: self.bits * (top - k) for k, v in enumerate(ordered)}
+
+    def covers(self, m: Mono) -> bool:
+        """True when every variable of m is in the universe."""
+        return all(v in self.offsets for v, _ in m)
+
+    def pack(self, m: Mono) -> int:
+        """m as an int; an exponent that does not fit its digit is an
+        internal error, since a carry would corrupt the next variable."""
+        out = 0
+        for v, e in m:
+            if e >> self.bits:
+                raise InternalInconsistencyError(
+                    f"exponent {e} of {v!r} does not fit in {self.bits} bits"
+                )
+            out += e << self.offsets[v]
+        return out
+
+    def unpack(self, n: int) -> Mono:
+        """The inverse of pack."""
+        digit = (1 << self.bits) - 1
+        return tuple(
+            sorted((v, n >> off & digit) for v, off in self.offsets.items() if n >> off & digit)
+        )
 
 
 X_ORDER = TermOrder(lambda v: (v.level, v.row, v.col))
@@ -503,7 +536,10 @@ def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
     for sgn, body in terms:
         coeff: Coeff = sgn
         pairs = []
-        for factor in _split_factors(body):
+        factors = _split_factors(body)
+        if not factors:
+            raise InvalidInputError(f"empty term in {text!r}")
+        for factor in factors:
             if re.fullmatch(r"\d+(/\d+)?", factor):
                 coeff = coeff * _parse_coeff(factor)
                 continue
@@ -572,12 +608,25 @@ def _fields(obj, *keys) -> list:
     return [obj[k] for k in keys]
 
 
+def _list(obj, length: Optional[int] = None) -> list:
+    """A JSON array, of the given length if one is given."""
+    if not isinstance(obj, list) or length not in (None, len(obj)):
+        size = "" if length is None else f" of length {length}"
+        raise InvalidInputError(f"expected an array{size}, got {obj!r}")
+    return obj
+
+
 def parse_json(text: str) -> tuple[Polynomial, str]:
-    kind, terms = _fields(json.loads(text), "vars", "terms")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"not JSON: {exc}") from None
+    kind, terms = _fields(doc, "vars", "terms")
     if kind not in ("X", "C", "J"):
         raise InvalidInputError(f"unknown variable universe {kind!r}")
     acc: dict = {}
-    for c, pairs in (_fields(t, "c", "m") for t in terms):
+    for c, pairs in (_fields(t, "c", "m") for t in _list(terms)):
+        pairs = [_list(pair, 2) for pair in _list(pairs)]
         m = mono_from_pairs((parse_variable(vs, kind), _exponent(e)) for vs, e in pairs)
         acc[m] = acc.get(m, 0) + _parse_coeff(c)
     return Polynomial(acc), kind

@@ -12,10 +12,10 @@ but never subducts.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from . import lattice, linalg, maps, polyring
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .lattice import Context, PluckerVar
 from .maps import EMPTY_MASK, SpecMask
-from .polyring import Mono, Polynomial, X_ORDER
+from .polyring import Mono, Packer, Polynomial, X_ORDER, XVar
 
 Interval = tuple[PluckerVar, PluckerVar]
 
@@ -122,8 +122,23 @@ def standard_monomials(
     return out
 
 
-Word = tuple
-PackedPoly = list[tuple[Word, polyring.Coeff]]
+PackedPoly = list[tuple[int, polyring.Coeff]]
+
+
+@functools.lru_cache(maxsize=None)
+def x_packer(ctx: Context) -> Packer:
+    """The X_ORDER packer of a context's matrix variables x[i,j,l].
+
+    Exponents go up to 2p: every image has degree p, so a product of two
+    packed images is an integer sum with no carry.
+    """
+    variables = (
+        XVar(i, j, l)
+        for i in range(1, ctx.p + 1)
+        for j in range(1, ctx.width + 1)
+        for l in range(ctx.n + 1)
+    )
+    return X_ORDER.packer(variables, 2 * ctx.p)
 
 
 @dataclass(frozen=True)
@@ -131,17 +146,17 @@ class SubductionTable:
     """What subduction needs of one (context, interval), built once.
 
     mask: the interval_mask;
-    lead_pairs: the X_ORDER word of psi(u)*psi(v) -> (u, v), over the
-    standard pairs u <= v of the interval's elements (all elements without
-    one), u == v included.  By the sagbi theorem these are the monomials of
-    the initial algebra, one standard pair each (the Hibi toric ring), so
-    the map is the whole factoring step of subduction;
+    lead_pairs: pack(psi(u)) + pack(psi(v)) under x_packer -> (u, v), over
+    the standard pairs u <= v of the interval's elements (all elements
+    without one), u == v included.  By the sagbi theorem these are the
+    monomials of the initial algebra, one standard pair each (the Hibi
+    toric ring), so the map is the whole factoring step of subduction;
     counts: the number of standard pairs u <= v (u == v included) per
     multidegree, keyed by _multidegree.
     """
 
     mask: SpecMask
-    lead_pairs: dict[Word, tuple[PluckerVar, PluckerVar]]
+    lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]]
     counts: dict[tuple[tuple[int, ...], int], int]
 
 
@@ -161,14 +176,15 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
 
 @functools.lru_cache(maxsize=None)
 def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionTable:
-    elems = tuple(lattice.elements(ctx, interval))
-    words = [X_ORDER.word(maps.psi(u, ctx)) for u in elems]
-    lead_pairs: dict[Word, tuple[PluckerVar, PluckerVar]] = {}
+    elems = lattice.elements(ctx, interval)
+    pack = x_packer(ctx).pack
+    leads = [pack(maps.psi(u, ctx)) for u in elems]
+    lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
     counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for i, (u, wu) in enumerate(zip(elems, words)):
-        for v, wv in zip(elems[i:], words[i:]):
+    for i, (u, lu) in enumerate(zip(elems, leads)):
+        for v, lv in zip(elems[i:], leads[i:]):
             if lattice.leq(u, v):
-                lead = tuple(sorted(wu + wv))
+                lead = lu + lv
                 if lead in lead_pairs:
                     raise InternalInconsistencyError(
                         f"monomial admits two standard factorizations: "
@@ -182,29 +198,35 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
 
 @functools.lru_cache(maxsize=None)
 def packed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> PackedPoly:
-    """The masked generator image of u as (X_ORDER word, coefficient) terms,
-    leading term first; a subduction table and the oracle with equal masks
-    share it."""
+    """The masked generator image of u as (x_packer int, coefficient) terms,
+    leading term (the smallest int) first; a subduction table and the
+    oracle with equal masks share it.
+
+    A nonzero image must lead with coefficient 1 or -1, so that every
+    subduction step is the product of integers; any other lead is an
+    internal error.
+    """
+    pack = x_packer(ctx).pack
     poly = maps.generator_image(u, ctx, mask)
-    return sorted(((X_ORDER.word(m), c) for m, c in poly.terms.items()), reverse=True)
+    image = sorted((pack(m), c) for m, c in poly.terms.items())
+    if image and image[0][1] not in (1, -1):
+        raise InternalInconsistencyError(
+            f"image of {u!r} leads with coefficient {image[0][1]}, not 1 or -1"
+        )
+    return image
 
 
 def _add_product(g: dict, a: PackedPoly, b: PackedPoly, factor) -> None:
-    """g += factor * a * b on packed terms, dropping cancelled words."""
+    """g += factor * a * b on packed terms, dropping cancelled monomials."""
     for wa, ca in a:
         fa = factor * ca
         for wb, cb in b:
-            w = tuple(sorted(wa + wb))
+            w = wa + wb
             s = g.get(w, 0) + fa * cb
             if s:
                 g[w] = s
             else:
                 del g[w]
-
-
-def _word_key(word: Word) -> Word:
-    """Column key of equal-degree words: the word itself (see TermOrder.word)."""
-    return word
 
 
 def factor_initial(
@@ -215,13 +237,17 @@ def factor_initial(
     """The unique standard pair (u, v), u <= v, with psi(u)*psi(v) == mono.
 
     u and v range over the elements of the interval (all elements without
-    one).  The pair is looked up by the X_ORDER word of mono in the table's
+    one).  The pair is looked up by the packed mono in the table's
     lead_pairs.  No factorization means the monomial lies outside the
-    initial algebra; two factorizations cannot happen if the standard
+    initial algebra (so does any monomial not of degree 2p over the
+    context's variables); two factorizations cannot happen if the standard
     monomials are linearly independent, so building the table raises an
     internal error on the first monomial seen twice.
     """
-    pair = subduction_table(ctx, interval).lead_pairs.get(X_ORDER.word(mono))
+    packer = x_packer(ctx)
+    pair = None
+    if polyring.mono_deg(mono) == 2 * ctx.p and packer.covers(mono):
+        pair = subduction_table(ctx, interval).lead_pairs.get(packer.pack(mono))
     if pair is None:
         raise NotInInitialAlgebraError(mono)
     return pair
@@ -236,35 +262,47 @@ def subduct(
 
     f is a polynomial homogeneous of matrix-degree 2p, or a pair (u, v)
     standing for the product of their generator images.  The loop runs on
-    X_ORDER words (see TermOrder.word): all terms have degree 2p, so the
-    leading term is the largest word.  Each step looks the leading word up
-    in the table's lead_pairs and cancels it with the image of that
-    standard pair.  A leading word with no standard pair stops the run and
-    its monomial is reported as the witness.  Every step stays in the
-    multidegree of the input, whose standard pairs are counted in the
-    table, so more steps than that count plus one is an internal error.
-    The input's multidegree is that of the first pair: psi(u) uses each
-    column of u once, at levels summing to u.shift.
+    x_packer ints (see Packer): all terms have degree 2p, so the leading
+    term is the smallest int.  Each step looks the leading int up in the
+    table's lead_pairs and cancels it with the image of that standard
+    pair; the images lead with 1 or -1, so the step coefficient is the
+    leading coefficient times both leads.  A leading monomial with no
+    standard pair stops the run and is reported as the witness.  Terms of
+    a polynomial input with a variable outside the context are never
+    cancelled, so they stay aside and stop the run once they lead.  Every
+    step stays in the multidegree of the input, whose standard pairs are
+    counted in the table, so more steps than that count plus one is an
+    internal error.  The input's multidegree is that of the first pair:
+    psi(u) uses each column of u once, at levels summing to u.shift.
     """
     table = subduction_table(ctx, interval)
+    packer = x_packer(ctx)
+    rest = Polynomial.zero()
     if isinstance(f, Polynomial):
         two_p = 2 * ctx.p
         if any(polyring.mono_deg(m) != two_p for m in f.terms):
             raise InvalidInputError("subduction input must be homogeneous of degree 2p")
-        g = {X_ORDER.word(m): c for m, c in f.terms.items()}
+        g = {packer.pack(m): c for m, c in f.terms.items() if packer.covers(m)}
+        rest = Polynomial({m: c for m, c in f.terms.items() if not packer.covers(m)})
     else:
         u, v = f
         g = {}
         _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
 
+    # no step touches rest, so its leading monomial stops the run once it leads
+    stop = max(rest.terms, key=X_ORDER.key, default=None)
     cap = None
     steps: list[tuple[tuple[PluckerVar, PluckerVar], object]] = []
-    while g:
-        word = max(g)
-        pair = table.lead_pairs.get(word)
+    while g or stop:
+        lead = min(g, default=None)
+        pair = table.lead_pairs.get(lead)
+        if stop and (lead is None or X_ORDER.key(stop) > X_ORDER.key(packer.unpack(lead))):
+            pair, witness = None, stop
+        elif pair is None:
+            witness = packer.unpack(lead)
         if pair is None:
-            remainder = Polynomial({X_ORDER.mono(w): c for w, c in g.items()})
-            return SubductionTrace(steps, remainder, witness=X_ORDER.mono(word))
+            remainder = Polynomial({packer.unpack(w): c for w, c in g.items()}) + rest
+            return SubductionTrace(steps, remainder, witness=witness)
         u, v = pair
         if cap is None:
             cap = table.counts[_multidegree(u, v)] + 1
@@ -274,9 +312,7 @@ def subduct(
         for w, img in ((u, image_u), (v, image_v)):
             if not img:
                 raise InternalInconsistencyError(f"zero image for {w!r}")
-        step = Fraction(g[word]) / (image_u[0][1] * image_v[0][1])
-        if step.denominator == 1:
-            step = int(step)
+        step = polyring.norm_coeff(g[lead] * image_u[0][1] * image_v[0][1])
         _add_product(g, image_u, image_v, -step)
         steps.append(((u, v), step))
     return SubductionTrace(steps, Polynomial.zero())
@@ -403,12 +439,12 @@ def kernel_quadrics_oracle(
     among them solved exactly, grouped by the (column multiset, shift sum)
     multidegree under which the kernel splits (the diagonal blocks of a
     Macaulay matrix).  The images are packed_image under the interval_mask,
-    and each product is a dict X_ORDER word -> coefficient built by
-    _add_product; all products in a group have degree 2p, where word order
-    is degrevlex, so the words are their own column keys.  No subduction
-    table is built (so psi is never called) and subduct is never called, so
-    the oracle stays independent of subduction.  The result is a reduced
-    row-echelon basis in the canonical monomial coordinates.
+    and each product is a dict x_packer int -> coefficient built by
+    _add_product; all products in a group have degree 2p, where int order
+    is the reverse of degrevlex, so -w is the column key of int w.  No
+    subduction table is built (so psi is never called) and subduct is never
+    called, so the oracle stays independent of subduction.  The result is a
+    reduced row-echelon basis in the canonical monomial coordinates.
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
@@ -424,7 +460,7 @@ def kernel_quadrics_oracle(
             row: dict = {}
             _add_product(row, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
             rows.append(row)
-        for combo in linalg.nullspace(rows, _word_key):
+        for combo in linalg.nullspace(rows, operator.neg):
             relations.append(
                 Polynomial({_pair_mono(*pairs[i]): c for i, c in combo.items()})
             )

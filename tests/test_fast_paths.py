@@ -1,8 +1,8 @@
 """Differential tests: each fast path of subduction against the slow path it
 replaced, kept here as the reference.
 
-- factor_initial looks the leading monomial's word up in the table's
-  lead_pairs, the map from the word of psi(u)*psi(v) to each standard
+- factor_initial looks the packed leading monomial up in the table's
+  lead_pairs, the map from the packed psi(u)*psi(v) to each standard
   pair (u, v); the reference scans every element u and pattern-matches
   psi(u)'s quotient.
 - The step cap reads the table's count of standard pairs per multidegree;
@@ -10,9 +10,12 @@ replaced, kept here as the reference.
 - TermOrder.key ranks monomials; the references are TermOrder.compare and
   the dense degrevlex key over a fixed variable list that exact
   elimination used before it took TermOrder.key.
-- subduct runs on X_ORDER words and packed image products; the reference
-  is the same loop on Polynomial and Mono, ranking every term by
-  X_ORDER.leading_term at each step.
+- subduct runs on int-packed monomials (x_packer) and packed image
+  products; the reference is the same loop on Polynomial and Mono,
+  ranking every term by X_ORDER.leading_term at each step and dividing
+  by the image leads in Fractions.
+- Packer: integer order against TermOrder.compare, and integer addition
+  against mono_mul.
 - kernel_quadrics_oracle builds its rows from the same packed image
   products; the reference multiplies the generator images as Polynomials.
 - reduced_groebner reads its quadrics off one subduction pass over the
@@ -20,6 +23,7 @@ replaced, kept here as the reference.
   pair, which validates and subducts it on its own.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -46,6 +50,7 @@ from qgrass.straighten import (
     straightening_relation,
     subduct,
     subduction_table,
+    x_packer,
 )
 
 
@@ -167,7 +172,7 @@ def test_step_cap_counts_match_standard_monomials(ctx, interval):
     assert len(table.lead_pairs) == sum(counts.values())
     for w, (u, v) in table.lead_pairs.items():
         assert lattice.leq(u, v)
-        assert w == X_ORDER.word(psi_product(u, v, ctx))
+        assert w == x_packer(ctx).pack(psi_product(u, v, ctx))
 
 
 # -- the degrevlex sort key ---------------------------------------------------
@@ -266,7 +271,7 @@ def test_key_sorts_like_dense_key(order, variables):
     check()
 
 
-# -- subduction on words --------------------------------------------------------
+# -- subduction on packed monomials ----------------------------------------------
 
 
 def column_multiset(mono):
@@ -276,7 +281,7 @@ def column_multiset(mono):
 
 def subduct_polynomial(f, ctx, interval=None):
     """Reference: the subduction loop on Polynomial and Mono, as it was
-    before it ran on words."""
+    before it ran on packed monomials."""
     two_p = 2 * ctx.p
     if any(polyring.mono_deg(m) != two_p for m in f.terms):
         raise InvalidInputError("subduction input must be homogeneous of degree 2p")
@@ -370,30 +375,83 @@ def equal_degree_pairs(var):
     return st.integers(0, 6).flatmap(pair)
 
 
-@pytest.mark.parametrize(
-    "order,var",
-    [
-        (X_ORDER, st.builds(XVar, st.integers(1, 3), st.integers(1, 6), st.integers(0, 2))),
-        (c_order(KEY_CTX), st.sampled_from(elements(KEY_CTX))),
-        (
-            polyring.YOUNG_ORDER,
-            st.lists(
-                st.integers(1, KEY_CTX.stacked_width), min_size=3, max_size=3, unique=True
-            ).map(lambda xs: YoungSeq(tuple(sorted(xs)))),
-        ),
-    ],
-    ids=["X", "C", "J"],
-)
-def test_word_order_matches_compare_at_equal_degree(order, var):
+X_UNIVERSE = [XVar(i, j, l) for i in range(1, 4) for j in range(1, 7) for l in range(3)]
+J_UNIVERSE = [
+    YoungSeq(tuple(c)) for c in itertools.combinations(range(1, KEY_CTX.stacked_width + 1), 3)
+]
+PACKER_CASES = [
+    (X_ORDER, X_UNIVERSE),
+    (c_order(KEY_CTX), elements(KEY_CTX)),
+    (polyring.YOUNG_ORDER, J_UNIVERSE),
+]
+
+
+@pytest.mark.parametrize("order,universe", PACKER_CASES, ids=["X", "C", "J"])
+def test_packed_order_reverses_compare_at_equal_degree(order, universe):
+    packer = order.packer(universe, 6)
+
     @MANY
-    @given(equal_degree_pairs(var))
+    @given(equal_degree_pairs(st.sampled_from(universe)))
     def check(pair):
         a, b = pair
-        wa, wb = order.word(a), order.word(b)
-        assert ((wa > wb) - (wa < wb)) == order.compare(a, b)
-        assert order.mono(wa) == a and order.mono(wb) == b
+        pa, pb = packer.pack(a), packer.pack(b)
+        assert ((pb > pa) - (pb < pa)) == order.compare(a, b)
+        assert packer.unpack(pa) == a and packer.unpack(pb) == b
 
     check()
+
+
+@pytest.mark.parametrize("order,universe", PACKER_CASES, ids=["X", "C", "J"])
+def test_packed_sum_is_mono_mul(order, universe):
+    packer = order.packer(universe, 12)
+    monomial = monomials(st.sampled_from(universe))
+
+    @MANY
+    @given(monomial, monomial)
+    def check(a, b):
+        assert packer.unpack(packer.pack(a) + packer.pack(b)) == polyring.mono_mul(a, b)
+
+    check()
+
+
+def test_packer_refuses_an_exponent_beyond_its_digit():
+    # 2p = 6 fits in 3 bits; an exponent of 8 would carry into the next digit
+    packer = x_packer(KEY_CTX)
+    assert packer.bits == 3
+    full = mono_from_pairs([(XVar(1, 1, 0), 7)])
+    assert packer.unpack(packer.pack(full)) == full
+    with pytest.raises(InternalInconsistencyError, match="does not fit"):
+        packer.pack(mono_from_pairs([(XVar(1, 1, 0), 8)]))
+
+
+def test_packed_image_refuses_a_lead_other_than_one(monkeypatch):
+    # an image leading with 2 would make the step a Fraction
+    ctx = Context(2, 2, 1, 2)
+    u, v = incomparable_pairs(ctx)[0]
+    real = maps.generator_image
+    monkeypatch.setattr(maps, "generator_image", lambda w, c, m: real(w, c, m).scale(2))
+    packed_image.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError, match=r"leads with coefficient -?2,"):
+            subduct((u, v), ctx)
+    finally:
+        packed_image.cache_clear()
+
+
+def test_subduct_keeps_foreign_terms_aside_like_reference(ctx333):
+    # a product that subducts to zero, plus terms in x[1,3,2], a level
+    # outside the grid at n = 1: one above the product's lead, one below it
+    u, v = parse_var("156^1"), parse_var("234^2")
+    product = maps.phi(u, ctx333) * maps.phi(v, ctx333)
+    lead = X_ORDER.leading_term(product)[1]
+    high = NON_FACTORABLE_3313[1]
+    low = mono_from_pairs([(XVar(1, 3, 2), 1), (XVar(1, 1, 0), 5)])
+    assert X_ORDER.key(high) > X_ORDER.key(lead) > X_ORDER.key(low)
+    for extra in (Polynomial.term(low, 3), Polynomial.term(high, -1) + Polynomial.term(low)):
+        f = product + extra
+        fast, ref = subduct(f, ctx333), subduct_polynomial(f, ctx333)
+        assert_same_trace(fast, ref)
+        assert fast.witness == X_ORDER.leading_term(extra)[1]
 
 
 # -- the kernel oracle on packed image products -------------------------------
@@ -462,7 +520,7 @@ def test_add_product_matches_polynomial_product():
         for v in elems[i:]:
             g = {}
             _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
-            unpacked = Polynomial({X_ORDER.mono(w): c for w, c in g.items()})
+            unpacked = Polynomial({x_packer(ctx).unpack(w): c for w, c in g.items()})
             product = maps.generator_image(u, ctx, table.mask) * maps.generator_image(
                 v, ctx, table.mask
             )

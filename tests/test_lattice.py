@@ -1,5 +1,6 @@
 import pytest
 
+from qgrass import lattice
 from qgrass.errors import InvalidInputError, NotInImageError
 from qgrass.lattice import (
     Context,
@@ -96,8 +97,23 @@ def test_element_counts():
 
 
 def test_elements_bad_interval():
-    with pytest.raises(InvalidInputError):
-        elements(C331, (parse_var("235^2"), parse_var("146^1")))
+    # an invalid interval is refused on every call, never cached
+    for _ in range(3):
+        with pytest.raises(InvalidInputError):
+            elements(C331, (parse_var("235^2"), parse_var("146^1")))
+
+
+def test_interval_is_filtered_once_and_each_call_gets_a_fresh_list():
+    interval = (parse_var("146^1"), parse_var("235^2"))
+    lattice._interval_elements.cache_clear()
+    first = elements(C331, interval)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert elements(C331, interval) == expected
+    assert len(incomparable_pairs(C331, interval)) == 18
+    info = lattice._interval_elements.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_incomparable_pair_counts():

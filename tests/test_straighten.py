@@ -300,3 +300,11 @@ def test_sagbi_check_3413():
 def test_oracle_dimension_3413():
     ctx = Context(3, 4, 1, 3)
     assert len(kernel_quadrics_oracle(ctx)) == len(incomparable_pairs(ctx)) == 1015
+
+
+@pytest.mark.rung
+def test_sagbi_check_4414():
+    # 6935 incomparable pairs; minutes in one process, so opt-in
+    report = sagbi_check(Context(4, 4, 1, 4))
+    assert report["failures"] == []
+    assert report["pairs_total"] == len(incomparable_pairs(Context(4, 4, 1, 4))) == 6935
