@@ -95,6 +95,7 @@ def resolve_context(args) -> Context:
     if n is None and q is None:
         n, q = 0, 0
     elif n is None:
+        Context(p, m)  # refuses p < 1 before q is divided by it
         n = -(-q // p)
     elif q is None:
         q = n * p

@@ -67,15 +67,6 @@ class Eliminator:
         residual, combo = self.reduce(row, None)
         if not residual:
             return combo
-        self.insert(residual, combo, tag)
-        return None
-
-    def insert(self, residual: dict, combo: dict, tag: Optional[dict] = None) -> None:
-        """Store a nonzero residual of reduce(row) as a new pivot row.
-
-        combo is the combination that reduce returned with it, and tag the
-        row's own tag.
-        """
         c = max(residual, key=self.col_key)
         lead = residual[c]
         # 1/lead: the unit lead itself keeps integer rows integer
@@ -91,6 +82,7 @@ class Eliminator:
                 _add_scaled(base, monic, -f)
                 _add_scaled(base_tag, new_tag, -f)
         self.pivots[c] = (monic, new_tag)
+        return None
 
     @property
     def rank(self) -> int:
@@ -113,19 +105,20 @@ def nullspace(rows: list[dict], col_key: Callable) -> list[dict]:
     """Basis of the left kernel: combinations of the rows summing to zero.
 
     Tags are indexed by row position; each returned dict maps row indices
-    to rational coefficients with sum_i coeff[i] * rows[i] == 0.  Each row
-    is reduced once: an independent residual goes straight into the basis.
+    to rational coefficients with sum_i coeff[i] * rows[i] == 0.  Row i
+    goes through Eliminator.add tagged {i: 1}; if it is dependent, its
+    vector is e_i minus a combination of the independent rows j < i, so the
+    list is the reduced row-echelon basis keyed by row index: each vector
+    has 1 at its largest index, which no other vector holds.
     """
     elim = Eliminator(col_key)
     out = []
     for i, r in enumerate(rows):
-        residual, combo = elim.reduce(r)
-        if not residual:
+        combo = elim.add(r, tag={i: 1})
+        if combo is not None:
             combo = {k: -v for k, v in combo.items()}
             combo[i] = 1
             out.append(combo)
-        else:
-            elim.insert(residual, combo, tag={i: 1})
     return out
 
 

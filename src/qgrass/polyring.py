@@ -221,12 +221,11 @@ class TermOrder:
 
     Ties in total degree are broken at the smallest variable whose exponents
     differ: the monomial with the strictly smaller exponent there is the
-    larger one.
+    larger one.  var_key is memoized, one entry per variable.
     """
 
     def __init__(self, var_key: Callable):
-        self.var_key = var_key
-        self._var_keys: dict = {}
+        self.var_key = functools.lru_cache(maxsize=None)(var_key)
 
     def compare(self, a: Mono, b: Mono) -> int:
         """-1, 0 or 1 as a < b, a == b, a > b: the order's reference definition."""
@@ -250,15 +249,11 @@ class TermOrder:
         equal degree, degrevlex is lexicographic order on words: where
         words a and b first differ, a[i] < b[i] means that a has the larger
         exponent at the smallest variable where they differ, so a is the
-        smaller monomial.  Variable keys are memoized per variable.
+        smaller monomial.
         """
-        keys = self._var_keys
         w: list = []
         for v, e in m:
-            k = keys.get(v)
-            if k is None:
-                k = keys[v] = self.var_key(v)
-            w += [k] * e
+            w += [self.var_key(v)] * e
         w.sort()
         return len(w), tuple(w)
 

@@ -92,7 +92,7 @@ def is_standard_monomial(mono: Mono, ctx: Context) -> bool:
     for v, e in mono:
         rows.extend([v] * e)
     rows.sort(key=lambda u: lattice.linear_key(u, ctx))
-    return all(lattice.leq(rows[i], rows[i + 1]) for i in range(len(rows) - 1))
+    return lattice.is_standard(tuple(rows))
 
 
 def standard_monomials(
@@ -443,8 +443,12 @@ def kernel_quadrics_oracle(
     _add_product; all products in a group have degree 2p, where int order
     is the reverse of degrevlex, so -w is the column key of int w.  No
     subduction table is built (so psi is never called) and subduct is never
-    called, so the oracle stays independent of subduction.  The result is a
-    reduced row-echelon basis in the canonical monomial coordinates.
+    called, so the oracle stays independent of subduction.  One nullspace
+    per group is its only elimination and already the reduced row-echelon
+    basis: a group's pairs come in canonical i <= j order, which ascends in
+    c_order (on degree-2 words degrevlex is lexicographic on linear keys),
+    each vector has 1 at its own pair, its largest, which no other vector
+    holds, and groups have disjoint supports.
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
@@ -452,19 +456,15 @@ def kernel_quadrics_oracle(
     for i, u in enumerate(elems):
         for v in elems[i:]:
             groups.setdefault(_multidegree(u, v), []).append((u, v))
-    relations: list[Polynomial] = []
-    for md in sorted(groups):
-        pairs = groups[md]
+    relations: dict[Mono, Polynomial] = {}
+    for pairs in groups.values():
         rows = []
         for u, v in pairs:
             row: dict = {}
             _add_product(row, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
             rows.append(row)
         for combo in linalg.nullspace(rows, operator.neg):
-            relations.append(
-                Polynomial({_pair_mono(*pairs[i]): c for i, c in combo.items()})
+            relations[_pair_mono(*pairs[max(combo)])] = Polynomial(
+                {_pair_mono(*pairs[i]): c for i, c in combo.items()}
             )
-    basis_elim = linalg.Eliminator(polyring.c_order(ctx).key)
-    for rel in relations:
-        basis_elim.add(dict(rel.terms))
-    return [Polynomial(row) for row in basis_elim.rows()]
+    return [relations[m] for m in sorted(relations, key=polyring.c_order(ctx).key, reverse=True)]

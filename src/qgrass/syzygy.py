@@ -87,8 +87,7 @@ def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
     acc: dict = {}
     for picked in itertools.combinations(range(len(pool)), i):
         rest = tuple(k for k in range(len(pool)) if k not in picked)
-        shuffle = sum(1 for x in picked for y in rest if x > y)
-        sign = -1 if shuffle % 2 else 1
+        sign = lattice.sort_sign(picked + rest)
         s1, lower = sort_signed(tuple(pool[k] for k in picked) + tail, b)
         if lower is None:
             continue

@@ -245,7 +245,7 @@ def test_json_format_round_trip():
 
 
 def test_json_output_validates_against_schema():
-    import jsonschema
+    jsonschema = pytest.importorskip("jsonschema")
 
     schema = json.loads(
         (pathlib.Path(__file__).parent.parent / "schemas" / "polynomial.json").read_text()
@@ -275,6 +275,12 @@ def test_usage_error_exit_code():
 def test_invalid_context_exit_code():
     code, _ = run_cli("--p", "2", "--m", "2", "--n", "1", "--q", "3", "degree")
     assert code == 1
+
+
+def test_p_zero_is_refused_before_n_is_derived_from_q(capsys):
+    code, out = run_cli("--p", "0", "--m", "1", "--q", "1", "degree")
+    assert (code, out) == (1, "")
+    assert "p must be >= 1" in capsys.readouterr().err
 
 
 def test_bad_variable_exit_code():

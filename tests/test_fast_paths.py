@@ -17,7 +17,9 @@ replaced, kept here as the reference.
 - Packer: integer order against TermOrder.compare, and integer addition
   against mono_mul.
 - kernel_quadrics_oracle builds its rows from the same packed image
-  products; the reference multiplies the generator images as Polynomials.
+  products and reads the reduced basis off its per-group nullspaces; the
+  reference multiplies the generator images as Polynomials and reduces
+  all relations again in a second elimination.
 - reduced_groebner reads its quadrics off one subduction pass over the
   incomparable pairs; the reference calls straightening_relation on each
   pair, which validates and subducts it on its own.

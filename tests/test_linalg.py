@@ -171,20 +171,34 @@ def test_solve_in_span_matches_reference(basis_rows, weights, noise, key):
         assert rebuilt == target
 
 
+@st.composite
+def rows_with_dependencies(draw):
+    """Integer rows with up to four planted dependencies, each an integer
+    combination of the rows before the position it is inserted at."""
+    out = draw(rows)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(out)))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=at, max_size=at))
+        dependent: dict = {}
+        for w, earlier in zip(weights, out):
+            linalg._add_scaled(dependent, earlier, w)
+        out.insert(at, dependent)
+    return out
+
+
 @CHECK
-@given(rows, col_key)
-def test_nullspace_inserts_the_tagged_basis_of_reference_add(basis_rows, key):
-    # nullspace's own loop: reduce once, insert the residual with its tag;
-    # the reference reduces the row again inside add
-    new = linalg.Eliminator(key)
-    ref = ReferenceEliminator(key)
-    for i, r in enumerate(basis_rows):
-        residual, combo = new.reduce(r)
-        if residual:
-            new.insert(residual, combo, tag={i: 1})
-        assert ref.add(r, tag={i: 1}) == (None if residual else combo)
-        assert_reduced(new)
-        assert new.pivots == ref.pivots
+@given(rows_with_dependencies(), col_key)
+def test_nullspace_is_the_reduced_basis_by_row_index(basis_rows, key):
+    kernel = linalg.nullspace(basis_rows, key)
+    leads = [max(combo) for combo in kernel]
+    assert leads == sorted(set(leads))
+    for combo, lead in zip(kernel, leads):
+        assert combo[lead] == 1
+        assert sum(1 for other in kernel if lead in other) == 1
+    ref = ReferenceEliminator(lambda i: i)
+    for combo in kernel:
+        assert ref.add(combo) is None
+    assert kernel == ref.rows()[::-1]
 
 
 # -- integer preservation ---------------------------------------------------------
