@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's gettext imports it at the first parser build; pay that at start-up
 import sys
 from typing import Optional
 

@@ -10,35 +10,37 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, NotInImageError
 
 
-@dataclass(frozen=True)
-class Context:
-    """Problem size: a p x (m+p) matrix with entries of degree n, shifts up to q.
-
-    Invariant: 0 <= q <= n*p.  The stacked width N = (n+1)*(m+p) is derived.
-    """
-
+class _ContextFields(NamedTuple):
     p: int
     m: int
     n: int = 0
     q: int = 0
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise InvalidInputError(f"p must be >= 1, got {self.p}")
-        if self.m < 1:
-            raise InvalidInputError(f"m must be >= 1, got {self.m}")
-        if self.n < 0:
-            raise InvalidInputError(f"n must be >= 0, got {self.n}")
-        if not 0 <= self.q <= self.n * self.p:
-            raise InvalidInputError(
-                f"q must satisfy 0 <= q <= n*p = {self.n * self.p}, got {self.q}"
-            )
+
+class Context(_ContextFields):
+    """Problem size: a p x (m+p) matrix with entries of degree n, shifts up to q.
+
+    Invariant: 0 <= q <= n*p, checked on construction.  The stacked width
+    N = (n+1)*(m+p) is derived.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, m: int, n: int = 0, q: int = 0):
+        if p < 1:
+            raise InvalidInputError(f"p must be >= 1, got {p}")
+        if m < 1:
+            raise InvalidInputError(f"m must be >= 1, got {m}")
+        if n < 0:
+            raise InvalidInputError(f"n must be >= 0, got {n}")
+        if not 0 <= q <= n * p:
+            raise InvalidInputError(f"q must satisfy 0 <= q <= n*p = {n * p}, got {q}")
+        return super().__new__(cls, p, m, n, q)
 
     @property
     def width(self) -> int:

@@ -71,7 +71,8 @@ class Eliminator:
         lead = residual[c]
         # 1/lead: the unit lead itself keeps integer rows integer
         inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
-        monic = {k: v * inv for k, v in residual.items()}
+        # reduce returned a fresh dict, so a residual led by 1 is stored as is
+        monic = residual if lead == 1 else {k: v * inv for k, v in residual.items()}
         # tag tracks: monic = (incoming - sum combo_j . row_j) / lead
         new_tag = {k: -v * inv for k, v in combo.items()}
         _add_scaled(new_tag, tag or {}, inv)

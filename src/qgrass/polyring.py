@@ -376,10 +376,13 @@ def det(rows: list[list[Polynomial]]) -> Polynomial:
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def generator_matrix(
     ctx: Context, mask: frozenset = frozenset()
 ) -> tuple[tuple[Polynomial, ...], ...]:
     """The p x (m+p) matrix whose (i,j) entry sums x[i,j,l] over unmasked levels.
+
+    Built once per (ctx, mask): every full minor of a mask reads the same one.
 
     Every term of any minor has a well-defined total level, so coefficient
     extraction in the deformation parameter is a filter on level sums.

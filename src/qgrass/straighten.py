@@ -14,9 +14,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import lattice, linalg, maps, polyring
 from .errors import (
@@ -32,16 +30,14 @@ from .polyring import Mono, Packer, Polynomial, X_ORDER, XVar
 Interval = tuple[PluckerVar, PluckerVar]
 
 
-@dataclass(frozen=True)
-class Quadric:
+class Quadric(NamedTuple):
     """A quadratic relation with its designated incomparable leading pair."""
 
     poly: Polynomial
     lead_pair: tuple[PluckerVar, PluckerVar]
 
 
-@dataclass
-class SubductionTrace:
+class SubductionTrace(NamedTuple):
     """Audit record of one subduction run.
 
     Replaying the steps against the input reproduces the remainder:
@@ -141,8 +137,7 @@ def x_packer(ctx: Context) -> Packer:
     return X_ORDER.packer(variables, 2 * ctx.p)
 
 
-@dataclass(frozen=True)
-class SubductionTable:
+class SubductionTable(NamedTuple):
     """What subduction needs of one (context, interval), built once.
 
     mask: the interval_mask;
@@ -369,6 +364,8 @@ def _subduct_incomparable(
     pairs = lattice.incomparable_pairs(ctx, interval)
     workers = min(jobs, os.cpu_count() or 1, len(pairs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: keeps start-up light
+
         cuts = [len(pairs) * k // workers for k in range(workers + 1)]
         runs = [(ctx, interval, pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,14 +1,17 @@
+import concurrent.futures
 import hashlib
 import io
 import json
 import multiprocessing
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from qgrass import cli, lattice, maps, polyring, straighten, syzygy
-from qgrass.errors import InternalInconsistencyError, SagbiFailureError
+from qgrass.errors import InternalInconsistencyError, InvalidInputError, SagbiFailureError
 from qgrass.lattice import Context, parse_var
 
 from conftest import golden_text
@@ -283,6 +286,28 @@ def test_p_zero_is_refused_before_n_is_derived_from_q(capsys):
     assert "p must be >= 1" in capsys.readouterr().err
 
 
+def test_start_up_imports_no_worker_or_dataclass_support():
+    # a fresh interpreter imports only what a serial run needs
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qgrass.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    # Context still validates on construction, field by field, in order
+    for args, message in [
+        ((0, 1), "p must be >= 1, got 0"),
+        ((1, 0), "m must be >= 1, got 0"),
+        ((1, 1, -1), "n must be >= 0, got -1"),
+        ((2, 1, 1, 3), "q must satisfy 0 <= q <= n*p = 2, got 3"),
+    ]:
+        with pytest.raises(InvalidInputError) as exc:
+            Context(*args)
+        assert str(exc.value) == message
+
+
 def test_bad_variable_exit_code():
     code, _ = run_cli("--p", "3", "--m", "3", "--n", "1", "phi", "999^9")
     assert code == 1
@@ -324,7 +349,7 @@ class _SerialPool:
 def test_sagbi_check_caps_workers(monkeypatch, cpus, expected):
     from qgrass import straighten
 
-    monkeypatch.setattr(straighten, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(straighten.os, "cpu_count", lambda: cpus)
     _SerialPool.sizes = []
     ctx = Context(2, 2, 1, 2)  # 5 incomparable pairs
@@ -375,7 +400,7 @@ def test_sagbi_check_failures_keep_order_across_chunks(raw_images, monkeypatch, 
     ctx = Context(3, 3, 1, 1)
     serial = straighten.sagbi_check(ctx, jobs=1)
     assert (len(serial["failures"]), serial["pairs_total"]) == (35, 106)
-    monkeypatch.setattr(straighten, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(straighten.os, "cpu_count", lambda: 8)
     _SerialPool.sizes = []
     assert straighten.sagbi_check(ctx, jobs=jobs) == serial

@@ -11,6 +11,10 @@ and must still agree with the reference value for value.
 
 from fractions import Fraction
 
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from qgrass import linalg

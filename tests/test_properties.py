@@ -4,6 +4,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from qgrass.lattice import (

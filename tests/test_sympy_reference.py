@@ -12,7 +12,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -63,17 +62,23 @@ def test_det_coeff_matches_sympy(cols):
 XVARS = [
     XVar(i, j, l) for i, j, l in itertools.product(range(1, 3), range(1, 4), range(2))
 ]
-coeff = st.one_of(
-    st.integers(-4, 4),
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
-)
-monomial = st.lists(st.sampled_from(XVARS), max_size=3).map(
-    lambda vs: mono_from_pairs((v, 1) for v in vs)
-)
-polynomial = st.dictionaries(monomial, coeff, max_size=4).map(Polynomial)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(polynomial, polynomial)
-def test_polynomial_product_matches_sympy(f, g):
-    assert sympy.expand(to_sympy(f * g) - to_sympy(f) * to_sympy(g)) == 0
+def test_polynomial_product_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    )
+    monomial = st.lists(st.sampled_from(XVARS), max_size=3).map(
+        lambda vs: mono_from_pairs((v, 1) for v in vs)
+    )
+    polynomial = st.dictionaries(monomial, coeff, max_size=4).map(Polynomial)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(polynomial, polynomial)
+    def check(f, g):
+        assert sympy.expand(to_sympy(f * g) - to_sympy(f) * to_sympy(g)) == 0
+
+    check()
