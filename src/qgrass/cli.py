@@ -198,7 +198,7 @@ def _dispatch(args, ctx: Context, out) -> int:
             doc = {
                 "mask": [[v.row, v.col, v.level] for v in zeroed],
                 "images": {
-                    _fmt_var(u, args): json.loads(polyring.emit_json(img, "X"))
+                    _fmt_var(u, args): polyring.json_doc(img, "X")
                     for u, img in images
                 },
             }
@@ -225,7 +225,7 @@ def _dispatch(args, ctx: Context, out) -> int:
             doc = [
                 {
                     "lead_pair": [_fmt_var(q.lead_pair[0], args), _fmt_var(q.lead_pair[1], args)],
-                    "poly": json.loads(polyring.emit_json(q.poly, "C", ctx)),
+                    "poly": polyring.json_doc(q.poly, "C", ctx),
                 }
                 for q in basis
             ]

@@ -76,16 +76,6 @@ def psi_invert(mono: Mono, ctx: Context) -> Optional[PluckerVar]:
     return u if psi(u, ctx) == mono else None
 
 
-@functools.lru_cache(maxsize=None)
-def _stacked_rows_matrix(ctx: Context) -> tuple[tuple[XVar, ...], ...]:
-    """The p(n+1) x (m+p) matrix stacking the level blocks on top of each other."""
-    rows = []
-    for stacked_row in range(1, ctx.p * (ctx.n + 1) + 1):
-        l, r = divmod(stacked_row - 1, ctx.p)
-        rows.append(tuple(XVar(r + 1, j, l) for j in range(1, ctx.width + 1)))
-    return tuple(rows)
-
-
 def chi(u: PluckerVar, ctx: Context) -> Polynomial:
     """Row-consecutive maximal minor: rows a+1..a+p, columns alpha."""
     lattice.validate_var(u, ctx, bound_shift=False)
@@ -93,10 +83,10 @@ def chi(u: PluckerVar, ctx: Context) -> Polynomial:
         raise DomainError(
             f"rows {u.shift + 1}..{u.shift + ctx.p} exceed the stacked matrix"
         )
-    matrix = _stacked_rows_matrix(ctx)
+    # stacked row u.shift + i (from 0) is row r + 1 of level l
     block = [
-        [Polynomial.variable(matrix[u.shift + i][j - 1]) for j in u.cols]
-        for i in range(ctx.p)
+        [Polynomial.variable(XVar(r + 1, j, l)) for j in u.cols]
+        for l, r in (divmod(u.shift + i, ctx.p) for i in range(ctx.p))
     ]
     return polyring.det(block)
 

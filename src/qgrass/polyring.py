@@ -483,35 +483,42 @@ def _exponent(e) -> int:
     return e
 
 
+def _canonical_terms(
+    poly: Polynomial, kind: str, ctx: Optional[Context] = None, compact: bool = False
+):
+    """Each term as (coefficient, [[variable text, exponent], ...]): terms
+    strictly descending in the ring's term order, factors ascending in its
+    variable key."""
+    order = order_for(kind, ctx)
+    by_var = lambda ve: order.var_key(ve[0])
+    for m, c in order.sorted_terms(poly):
+        yield c, [[format_variable(v, kind, compact), e] for v, e in sorted(m, key=by_var)]
+
+
 def emit_text(
     poly: Polynomial,
     kind: str,
     ctx: Optional[Context] = None,
     compact: bool = False,
 ) -> str:
-    """Canonical text form: terms strictly descending in the ring's term order."""
+    """Canonical text form: signed terms joined by " + " / " - ", factors by "*"."""
     if poly.is_zero():
         return "0"
-    order = order_for(kind, ctx)
     pieces = []
-    for m, c in order.sorted_terms(poly):
-        sign = "-" if (c < 0) else "+"
+    for c, factors in _canonical_terms(poly, kind, ctx, compact):
         mag = -c if c < 0 else c
-        factors = []
-        if mag != 1 or not m:
-            factors.append(_format_coeff(mag))
-        for v, e in sorted(m, key=lambda ve: order.var_key(ve[0])):
-            s = format_variable(v, kind, compact=compact)
-            factors.append(s if e == 1 else "%s**%d" % (s, e))
-        pieces.append((sign, "*".join(factors)))
-    head_sign, head = pieces[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+        body = [s if e == 1 else "%s**%d" % (s, e) for s, e in factors]
+        if mag != 1 or not body:
+            body.insert(0, _format_coeff(mag))
+        pieces.append(("- " if c < 0 else "+ ") + "*".join(body))
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
+
+# A factor ends at a '*' with no '*' next to it; '**' starts an exponent.
+_FACTOR_SPLIT_RE = re.compile(r"(?<!\*)\*(?!\*)")
 
 
 def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
@@ -534,10 +541,10 @@ def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
     for sgn, body in terms:
         coeff: Coeff = sgn
         pairs = []
-        factors = _split_factors(body)
-        if not factors:
-            raise InvalidInputError(f"empty term in {text!r}")
-        for factor in factors:
+        for factor in _FACTOR_SPLIT_RE.split(body):
+            factor = factor.strip()
+            if not factor:
+                raise InvalidInputError(f"empty term or factor in {text!r}")
             if re.fullmatch(r"\d+(/\d+)?", factor):
                 coeff = coeff * _parse_coeff(factor)
                 continue
@@ -552,51 +559,15 @@ def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
     return Polynomial(acc)
 
 
-def _split_factors(body: str) -> list[str]:
-    """Split a term body on single '*' while keeping '**' exponents intact."""
-    out = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            if i + 1 < len(body) and body[i + 1] == "*":
-                cur.append("**")
-                i += 2
-                continue
-            out.append("".join(cur))
-            cur = []
-            i += 1
-            continue
-        cur.append(ch)
-        i += 1
-    if cur:
-        out.append("".join(cur))
-    return [f.strip() for f in out if f.strip()]
+def json_doc(poly: Polynomial, kind: str, ctx: Optional[Context] = None) -> dict:
+    """The schemas/polynomial.json object of poly, terms in canonical order."""
+    terms = [{"c": _format_coeff(c), "m": m} for c, m in _canonical_terms(poly, kind, ctx)]
+    return {"vars": kind, "terms": terms}
 
 
 def emit_json(poly: Polynomial, kind: str, ctx: Optional[Context] = None) -> str:
-    """JSON form per schemas/polynomial.json, terms in descending term order."""
-    order = order_for(kind, ctx)
-    doc = {
-        "vars": kind,
-        "terms": [
-            {
-                "c": _format_coeff(c),
-                "m": [
-                    [format_variable(v, kind), e]
-                    for v, e in sorted(m, key=lambda ve: order.var_key(ve[0]))
-                ],
-            }
-            for m, c in order.sorted_terms(poly)
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """JSON form per schemas/polynomial.json: json_doc, without spaces."""
+    return json.dumps(json_doc(poly, kind, ctx), separators=(",", ":"))
 
 
 def _fields(obj, *keys) -> list:

@@ -293,14 +293,17 @@ def test_parse_json_refuses_a_zero_denominator():
     [
         (lambda t: parse_text(t, "X"), ""),
         (lambda t: parse_text(t, "X"), "-"),
+        (lambda t: parse_text(t, "X"), "x[1,1,0]*"),
+        (lambda t: parse_text(t, "X"), "*x[1,1,0]"),
+        (lambda t: parse_text(t, "X"), "x[1,1,0]* *x[1,2,0]"),
         (parse_json, json.dumps({"vars": "X", "terms": [_term("1", ("x[1,1,0]", 1, 2))]})),
         (parse_json, json.dumps({"vars": "X", "terms": [_term("1", ("x[1,1,0]",))]})),
         (parse_json, json.dumps({"vars": "X", "terms": [{"c": "1", "m": "x"}]})),
         (parse_json, json.dumps({"vars": "X", "terms": {}})),
         (parse_json, "["),
     ],
-    ids=["empty-text", "sign-only", "pair-of-3", "pair-of-1", "m-not-array",
-         "terms-not-array", "not-json"],
+    ids=["empty-text", "sign-only", "dangling-star", "leading-star", "doubled-star",
+         "pair-of-3", "pair-of-1", "m-not-array", "terms-not-array", "not-json"],
 )
 def test_parsers_refuse_malformed_input(parse, text):
     with pytest.raises(InvalidInputError):
