@@ -3,10 +3,11 @@
 The incomparable products are straightened by subduction: the leading
 monomial of a product of generator images is repeatedly cancelled by the
 image of a standard (comparable) pair, and the recorded steps assemble the
-quadratic relation with that incomparable product as leading term.  A
-brute-force linear-algebra kernel over the quadratic part serves as an
+quadratic relation with that incomparable product as leading term.  An
+exact linear-algebra kernel over the quadratic part serves as an
 independent oracle: it builds its rows from the same packed image products,
-but never subducts.
+eliminates only the multidegree groups whose product leads collide, and
+never subducts.
 """
 
 from __future__ import annotations
@@ -446,6 +447,18 @@ def kernel_quadrics_oracle(
     c_order (on degree-2 words degrevlex is lexicographic on linear keys),
     each vector has 1 at its own pair, its largest, which no other vector
     holds, and groups have disjoint supports.
+
+    Only groups whose product leads collide are eliminated.  An image is
+    sorted, so its lead is its smallest int, and products add ints with no
+    carry: the lead of a product of nonzero images is the sum of their
+    leads, reached by the two leading terms alone, with coefficient
+    (+-1)(+-1) != 0.  If those leads are pairwise distinct in a group, take
+    any nonzero combination of its rows and, among the rows in it, the one
+    with the smallest lead: every other row has a larger lead and no word
+    below it, so that smallest lead keeps a nonzero coefficient, and the
+    nullspace is empty (distinct pivots, as in a Macaulay matrix).  A zero
+    image gives a zero row, itself a kernel vector, so a group holding one
+    is always eliminated.
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
@@ -453,8 +466,12 @@ def kernel_quadrics_oracle(
     for i, u in enumerate(elems):
         for v in elems[i:]:
             groups.setdefault(_multidegree(u, v), []).append((u, v))
+    leads = {u: image[0][0] for u in elems if (image := packed_image(u, ctx, mask))}
     relations: dict[Mono, Polynomial] = {}
     for pairs in groups.values():
+        # a pair with a zero image has no lead, so its group is never skipped
+        if len({leads[u] + leads[v] for u, v in pairs if u in leads and v in leads}) == len(pairs):
+            continue
         rows = []
         for u, v in pairs:
             row: dict = {}

@@ -17,8 +17,9 @@ replaced, kept here as the reference.
 - Packer: integer order against TermOrder.compare, and integer addition
   against mono_mul.
 - kernel_quadrics_oracle builds its rows from the same packed image
-  products and reads the reduced basis off its per-group nullspaces; the
-  reference multiplies the generator images as Polynomials and reduces
+  products, eliminates only the groups whose product leads collide and
+  reads the reduced basis off their nullspaces; the reference multiplies
+  the generator images as Polynomials, eliminates every group and reduces
   all relations again in a second elimination.
 - reduced_groebner reads its quadrics off one subduction pass over the
   incomparable pairs; the reference calls straightening_relation on each
@@ -521,6 +522,57 @@ def test_kernel_oracle_matches_polynomial_reference(params, interval):
     assert fast == ref
     order = c_order(ctx)
     assert [typed_terms(f, order) for f in fast] == [typed_terms(f, order) for f in ref]
+
+
+def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
+    ctx = CTX3312
+    real = linalg.nullspace
+    eliminated = []
+
+    def spy(rows, key):
+        eliminated.append(tuple(frozenset(r.items()) for r in rows))
+        return real(rows, key)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    kernel_quadrics_oracle(ctx)
+    assert (len(eliminated), sum(map(len, eliminated))) == (155, 900)
+    mask = interval_mask(ctx, None)
+    groups = {}
+    elems = elements(ctx)
+    for i, u in enumerate(elems):
+        for v in elems[i:]:
+            g = {}
+            _add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
+            md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
+            groups.setdefault(md, []).append(g)
+    assert len(groups) == 705
+    eliminated = set(eliminated)
+    skipped = [rows for rows in groups.values()
+               if tuple(frozenset(r.items()) for r in rows) not in eliminated]
+    assert len(skipped) == 550
+    for rows in skipped:
+        assert all(rows)
+        assert len({min(r) for r in rows}) == len(rows)
+
+
+def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch):
+    # a zero image makes zero rows, each a kernel vector of its own
+    ctx = Context(2, 3, 1, 2)
+    zeroed = elements(ctx)[7]
+    real = maps.generator_image
+    monkeypatch.setattr(
+        maps,
+        "generator_image",
+        lambda w, c, m: Polynomial.zero() if w == zeroed else real(w, c, m),
+    )
+    packed_image.cache_clear()
+    try:
+        assert packed_image(zeroed, ctx, interval_mask(ctx, None)) == []
+        fast = kernel_quadrics_oracle(ctx)
+        assert fast == kernel_quadrics_oracle_polynomial(ctx)
+        assert len(fast) > len(incomparable_pairs(ctx))
+    finally:
+        packed_image.cache_clear()
 
 
 def test_add_product_matches_polynomial_product():

@@ -147,6 +147,54 @@ def test_chain_count_against_hook_length_oracle():
         assert count_maximal_chains(Context(p, m, 0, 0)) == hook_length_rectangle(p, m)
 
 
+def rrw_degree(p, m, q):
+    # independent oracle: the Ravi-Rosenthal-Wang degree of the quantum
+    # Grassmannian, a sum over nu = (nu_1..nu_p) >= 0 with sum q; at q = 0
+    # it is the hook-length count
+    import itertools
+    import math
+    from fractions import Fraction
+
+    w = m + p
+    total = Fraction(0)
+    for nu in itertools.product(range(q + 1), repeat=p):
+        if sum(nu) != q:
+            continue
+        num = 1
+        for j, k in itertools.combinations(range(p), 2):
+            num *= k - j + (nu[k] - nu[j]) * w
+        den = 1
+        for j in range(p):
+            den *= math.factorial(m + j + nu[j] * w)
+        total += Fraction(num, den)
+    deg = (-1) ** (q * (p + 1)) * math.factorial(m * p + q * w) * total
+    assert deg.denominator == 1
+    return deg.numerator
+
+
+RRW_CONTEXTS = [
+    (p, m, -(-q // p), q)  # n = ceil(q / p)
+    for p in range(1, 5)
+    for m in range(1, 6)
+    for q in range(6)
+    if q <= 3 or p + m <= 8
+]
+
+
+def test_rrw_degree_examples():
+    assert len(RRW_CONTEXTS) == 118
+    assert rrw_degree(2, 3, 1) == 55
+    assert rrw_degree(3, 3, 3) == 11184810
+    for p, m in [(2, 3), (2, 2), (3, 3), (1, 5)]:
+        assert rrw_degree(p, m, 0) == hook_length_rectangle(p, m)
+
+
+@pytest.mark.parametrize("params", RRW_CONTEXTS, ids=lambda c: "-".join(map(str, c)))
+def test_chain_count_against_rrw_degree(params):
+    p, m, _, q = params
+    assert count_maximal_chains(Context(*params)) == rrw_degree(p, m, q)
+
+
 def test_interval_chain_count_matches_rank_length():
     bot, topv = parse_var("146^1"), parse_var("235^2")
     # every maximal chain of the interval has rank(top)-rank(bot)+1 elements;

@@ -275,3 +275,36 @@ def test_non_unit_pivot_still_matches_reference(case):
     key, basis_rows = case
     new, _, _ = assert_matches_reference(key, basis_rows)
     assert all(type(v) in (int, Fraction) for v in entries(new))
+
+
+# -- distinct leads ---------------------------------------------------------------
+
+
+@st.composite
+def distinct_lead_rows(draw):
+    """(col_key, rows): nonzero integer rows, in any order, whose largest
+    columns under the key are pairwise distinct."""
+    key = draw(col_key)
+    leads = draw(st.lists(st.integers(0, 9), unique=True, max_size=8))
+    out = []
+    for c in leads:
+        lower = [d for d in range(10) if key(d) < key(c)]
+        r = {}
+        if lower:
+            r = draw(
+                st.dictionaries(
+                    st.sampled_from(lower), st.integers(-3, 3).filter(bool), max_size=5
+                )
+            )
+        r[c] = draw(st.integers(-3, 3).filter(bool))
+        out.append(r)
+    return key, out
+
+
+@CHECK
+@given(distinct_lead_rows())
+def test_rows_with_distinct_leads_are_independent(case):
+    # the rule the kernel oracle skips groups by: distinct pivots, no kernel
+    key, basis_rows = case
+    assert linalg.nullspace(basis_rows, key) == []
+    assert linalg.rank_of(basis_rows, key) == len(basis_rows)

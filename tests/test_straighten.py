@@ -302,6 +302,11 @@ def test_oracle_dimension_3413():
     assert len(kernel_quadrics_oracle(ctx)) == len(incomparable_pairs(ctx)) == 1015
 
 
+def test_oracle_dimension_3326():
+    ctx = Context(3, 3, 2, 6)
+    assert len(kernel_quadrics_oracle(ctx)) == len(incomparable_pairs(ctx)) == 466
+
+
 @pytest.mark.rung
 def test_sagbi_check_4414():
     # 6935 incomparable pairs; minutes in one process, so opt-in
