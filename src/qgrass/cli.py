@@ -10,6 +10,7 @@ inconsistent solve).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import locale  # argparse's gettext imports it at the first parser build; pay that at start-up
 import sys
@@ -34,6 +35,83 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _DeferredParser:
+    """A subcommand's parser, built only when argparse parses with it.
+
+    argparse lists a subcommand from its name and help line alone and reads
+    its parser only through `parse_known_args`, once the command line has
+    chosen it.  So a run builds the root's parser and the invoked command's
+    (and, for `poset`, its subcommand's), not one per command.
+    """
+
+    def __init__(self, configure, **kwargs):
+        self._configure = configure
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self._kwargs)
+        self._configure(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+_INTERVAL = ("--interval", {"nargs": 2, "metavar": ("BOT", "TOP")})
+_VAR = ("var", {})
+_JOBS_HELP = "worker processes, >= 1 (capped at the CPU count and the number of pairs)"
+
+# name -> (help line, or None to list no help; the arguments as
+# (name, add_argument keywords) in order, or a nested table of subcommands)
+_POSET_COMMANDS = {
+    "list": (None, [_INTERVAL]),
+    "pairs": (None, [_INTERVAL]),
+    "rank": (None, [_VAR]),
+}
+_COMMANDS = {
+    "poset": ("lattice elements, incomparable pairs, ranks", _POSET_COMMANDS),
+    "degree": ("number of maximal chains", [_INTERVAL]),
+    **{
+        name: (f"{name} image of a lattice variable", [_VAR])
+        for name in ("phi", "psi", "chi", "pi")
+    },
+    "schubert": (
+        "cell mask and masked generator images",
+        [("top", {}), ("--skew", {"metavar": "BOT", "default": None})],
+    ),
+    "straighten": (
+        "straightening relation of an incomparable pair",
+        [("gamma", {}), ("delta", {}), _INTERVAL],
+    ),
+    "groebner": ("all quadratic straightening relations", [_INTERVAL]),
+    "sagbi-check": (
+        "subduct every incomparable product",
+        [("--jobs", {"type": int, "default": 1, "help": _JOBS_HELP})],
+    ),
+    "syzygy": (
+        "skew (w) or lifted (v) syzygy of a two-row tableau",
+        [("kind", {"choices": ["w", "v"]}), ("row1", {}), ("row2", {})],
+    ),
+    "obvious": (
+        "t-coefficient relations from the classical quadrics",
+        [("--rank", {"action": "store_true", "help": "emit the rank/deficit report"})],
+    ),
+}
+
+
+def _add_commands(parser, table, dest) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_DeferredParser)
+    for name, (help_line, spec) in table.items():
+        if isinstance(spec, dict):
+            configure = functools.partial(_add_commands, table=spec, dest=f"{name}_command")
+        else:
+            configure = functools.partial(_add_arguments, spec)
+        kwargs = {} if help_line is None else {"help": help_line}
+        sub.add_parser(name, configure=configure, **kwargs)
+
+
+def _add_arguments(spec, parser) -> None:
+    for name, kwargs in spec:
+        parser.add_argument(name, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qgrass", description=__doc__)
     parser.add_argument("--p", type=int, required=True, help="number of matrix rows")
@@ -42,52 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q", type=int, default=None, help="shift bound (default: n*p)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--compact", action="store_true", help="compact digit form for variables")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    poset = sub.add_parser("poset", help="lattice elements, incomparable pairs, ranks")
-    poset_sub = poset.add_subparsers(dest="poset_command", required=True)
-    p_list = poset_sub.add_parser("list")
-    p_list.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
-    p_pairs = poset_sub.add_parser("pairs")
-    p_pairs.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
-    p_rank = poset_sub.add_parser("rank")
-    p_rank.add_argument("var")
-
-    degree = sub.add_parser("degree", help="number of maximal chains")
-    degree.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
-
-    for name in ("phi", "psi", "chi", "pi"):
-        gen = sub.add_parser(name, help=f"{name} image of a lattice variable")
-        gen.add_argument("var")
-
-    schubert = sub.add_parser("schubert", help="cell mask and masked generator images")
-    schubert.add_argument("top")
-    schubert.add_argument("--skew", metavar="BOT", default=None)
-
-    straight = sub.add_parser("straighten", help="straightening relation of an incomparable pair")
-    straight.add_argument("gamma")
-    straight.add_argument("delta")
-    straight.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
-
-    groebner = sub.add_parser("groebner", help="all quadratic straightening relations")
-    groebner.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
-
-    check = sub.add_parser("sagbi-check", help="subduct every incomparable product")
-    check.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes, >= 1 (capped at the CPU count and the number of pairs)",
-    )
-
-    syz = sub.add_parser("syzygy", help="skew (w) or lifted (v) syzygy of a two-row tableau")
-    syz.add_argument("kind", choices=["w", "v"])
-    syz.add_argument("row1")
-    syz.add_argument("row2")
-
-    obvious = sub.add_parser("obvious", help="t-coefficient relations from the classical quadrics")
-    obvious.add_argument("--rank", action="store_true", help="emit the rank/deficit report")
-
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 

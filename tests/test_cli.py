@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import io
@@ -452,3 +453,186 @@ def test_kernel_oracle_needs_no_subduction_table(fresh_tables, monkeypatch):
     relations = straighten.kernel_quadrics_oracle(ctx)
     assert len(relations) == len(lattice.incomparable_pairs(ctx)) == 5
     assert straighten._subduction_table.cache_info().currsize == 0
+
+
+def eager_parser():
+    """The parser as built before subcommands were deferred: every one of
+    the 16 parsers at once.  The reference for the deferred `build_parser`."""
+    parser = cli._Parser(prog="qgrass", description=cli.__doc__)
+    parser.add_argument("--p", type=int, required=True, help="number of matrix rows")
+    parser.add_argument("--m", type=int, required=True, help="column surplus")
+    parser.add_argument("--n", type=int, default=None, help="entry degree (default: ceil(q/p))")
+    parser.add_argument("--q", type=int, default=None, help="shift bound (default: n*p)")
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--compact", action="store_true", help="compact digit form for variables")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    poset = sub.add_parser("poset", help="lattice elements, incomparable pairs, ranks")
+    poset_sub = poset.add_subparsers(dest="poset_command", required=True)
+    p_list = poset_sub.add_parser("list")
+    p_list.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
+    p_pairs = poset_sub.add_parser("pairs")
+    p_pairs.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
+    p_rank = poset_sub.add_parser("rank")
+    p_rank.add_argument("var")
+
+    degree = sub.add_parser("degree", help="number of maximal chains")
+    degree.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
+
+    for name in ("phi", "psi", "chi", "pi"):
+        gen = sub.add_parser(name, help=f"{name} image of a lattice variable")
+        gen.add_argument("var")
+
+    schubert = sub.add_parser("schubert", help="cell mask and masked generator images")
+    schubert.add_argument("top")
+    schubert.add_argument("--skew", metavar="BOT", default=None)
+
+    straight = sub.add_parser("straighten", help="straightening relation of an incomparable pair")
+    straight.add_argument("gamma")
+    straight.add_argument("delta")
+    straight.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
+
+    groebner = sub.add_parser("groebner", help="all quadratic straightening relations")
+    groebner.add_argument("--interval", nargs=2, metavar=("BOT", "TOP"))
+
+    check = sub.add_parser("sagbi-check", help="subduct every incomparable product")
+    check.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes, >= 1 (capped at the CPU count and the number of pairs)",
+    )
+
+    syz = sub.add_parser("syzygy", help="skew (w) or lifted (v) syzygy of a two-row tableau")
+    syz.add_argument("kind", choices=["w", "v"])
+    syz.add_argument("row1")
+    syz.add_argument("row2")
+
+    obvious = sub.add_parser("obvious", help="t-coefficient relations from the classical quadrics")
+    obvious.add_argument("--rank", action="store_true", help="emit the rank/deficit report")
+
+    return parser
+
+
+COMMANDS = [
+    "poset", "degree", "phi", "psi", "chi", "pi", "schubert", "straighten", "groebner",
+    "sagbi-check", "syzygy", "obvious",
+]
+
+
+def _parse(build, argv, capsys):
+    """(exit code or None, Namespace or None, stdout, stderr) of one parse."""
+    try:
+        args, code = build().parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, args, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"]]
+    + [[cmd, "--help"] for cmd in COMMANDS]
+    + [["poset", sub, "--help"] for sub in ("list", "pairs", "rank")],
+    ids=lambda argv: " ".join(argv[:-1]) or "root",
+)
+def test_deferred_parser_help_matches_eager(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    eager = _parse(eager_parser, argv, capsys)
+    assert eager[0] == 0 and eager[2]
+    assert _parse(cli.build_parser, argv, capsys) == eager
+
+
+CTX = ["--p", "3", "--m", "3", "--n", "1", "--q", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CTX + ["--format", "json", "--compact", "poset", "list", "--interval", "146^1", "235^2"],
+        CTX + ["poset", "pairs", "--interval", "146^1", "235^2"],
+        ["--p", "2", "--m", "3", "poset", "pairs"],
+        CTX + ["poset", "rank", "235^2"],
+        CTX + ["degree", "--interval", "146^1", "235^2"],
+        CTX + ["degree"],
+        CTX + ["phi", "456^2"],
+        CTX + ["--format", "text", "psi", "456^2"],
+        CTX + ["chi", "123^0"],
+        CTX + ["pi", "235^2"],
+        CTX + ["schubert", "235^2", "--skew", "146^1"],
+        CTX + ["schubert", "235^2"],
+        CTX + ["straighten", "156^1", "234^2", "--interval", "146^1", "235^2"],
+        CTX + ["groebner", "--interval", "146^1", "235^2"],
+        CTX + ["groebner"],
+        CTX + ["sagbi-check", "--jobs", "2"],
+        CTX + ["sagbi-check"],
+        CTX + ["syzygy", "w", "156^1", "234^2"],
+        CTX + ["syzygy", "v", "156^1", "234^2"],
+        CTX + ["obvious", "--rank"],
+        CTX + ["obvious"],
+    ],
+    ids=lambda argv: " ".join(argv[len(CTX):]),
+)
+def test_deferred_parser_namespace_matches_eager(capsys, argv):
+    eager = _parse(eager_parser, argv, capsys)
+    assert eager[0] is None and eager[1] is not None
+    assert _parse(cli.build_parser, argv, capsys) == eager
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CTX + ["nope"],
+        ["--p", "2", "degree"],
+        ["--p", "x", "--m", "2", "degree"],
+        CTX + ["phi"],
+        CTX + ["syzygy", "z", "156^1", "234^2"],
+        CTX + ["groebner", "--interval", "146^1"],
+        CTX + ["sagbi-check", "--jobs", "x"],
+        CTX + ["poset", "nope"],
+        CTX + ["poset", "rank"],
+        CTX,
+    ],
+    ids=[
+        "unknown-command", "missing-m", "non-integer-p", "missing-positional", "bad-syzygy-kind",
+        "one-value-interval", "non-integer-jobs", "unknown-poset-command", "missing-poset-var",
+        "missing-command",
+    ],
+)
+def test_deferred_parser_usage_errors_match_eager(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    eager = _parse(eager_parser, argv, capsys)
+    assert eager[0] == cli.USAGE_ERROR and eager[3]
+    assert _parse(cli.build_parser, argv, capsys) == eager
+
+
+def test_a_run_builds_only_the_invoked_commands_parser(monkeypatch, capsys):
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = (
+        f"import argparse, sys; sys.path.insert(0, {src!r}); calls = []; "
+        "init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: calls.append(1) or init(*a, **k); "
+        "import qgrass.cli; print(len(calls))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("--p", "2", "--m", "2", "--n", "1", "groebner")[0] == 0
+    assert calls == ["qgrass", "qgrass groebner"]
+    calls.clear()
+    assert run_cli("--p", "2", "--m", "2", "--n", "1", "poset", "list")[0] == 0
+    assert calls == ["qgrass", "qgrass poset", "qgrass poset list"]
+    calls.clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--help"])
+    assert exc.value.code == 0 and "sagbi-check" in capsys.readouterr().out
+    assert calls == ["qgrass"]
