@@ -5,7 +5,8 @@ level-graded matrix; psi is its leading monomial; chi is the corresponding
 row-consecutive minor of the level-stacked matrix; pi expands a variable
 over Young-sequence variables.  Masks zero out matrix entries to
 parameterize (skew) cells, and apply_hom / minor_map evaluate the induced
-ring maps.
+ring maps.  Every minor is one Leibniz expansion (polyring.det) of a block
+of distinct variables, so its terms never cancel.
 
 Only lattice.to_young / from_young split a shift into matrix levels: psi,
 psi_invert and the cell masks are all read off that embedding.
@@ -85,7 +86,7 @@ def chi(u: PluckerVar, ctx: Context) -> Polynomial:
         )
     # stacked row u.shift + i (from 0) is row r + 1 of level l
     block = [
-        [Polynomial.variable(XVar(r + 1, j, l)) for j in u.cols]
+        [XVar(r + 1, j, l) for j in u.cols]
         for l, r in (divmod(u.shift + i, ctx.p) for i in range(ctx.p))
     ]
     return polyring.det(block)
@@ -94,6 +95,11 @@ def chi(u: PluckerVar, ctx: Context) -> Polynomial:
 def epsilon(j: YoungSeq, ctx: Context) -> int:
     """Sign of the permutation sorting the column residues of the sequence."""
     return lattice.sort_sign([residue(x, ctx.width) for x in j.entries])
+
+
+def _compositions(a: int, ctx: Context):
+    """The level assignments (l_1, ..., l_p), each in 0..n, that sum to a."""
+    return (ls for ls in itertools.product(range(ctx.n + 1), repeat=ctx.p) if sum(ls) == a)
 
 
 def pi(u: PluckerVar, ctx: Context) -> Polynomial:
@@ -106,9 +112,7 @@ def pi(u: PluckerVar, ctx: Context) -> Polynomial:
     """
     lattice.validate_var(u, ctx, bound_shift=False)
     acc: dict = {}
-    for levels in itertools.product(range(ctx.n + 1), repeat=ctx.p):
-        if sum(levels) != u.shift:
-            continue
+    for levels in _compositions(u.shift, ctx):
         entries = tuple(sorted(l * ctx.width + c for l, c in zip(levels, u.cols)))
         j = YoungSeq(entries)
         acc[((j, 1),)] = epsilon(j, ctx)
@@ -165,6 +169,11 @@ def young_mask(
     return frozenset(zeroed)
 
 
+def _masked(block: list[list[XVar]], mask: SpecMask) -> list[list[Optional[XVar]]]:
+    """The block with each masked variable replaced by None, a zero entry."""
+    return [[None if v in mask else v for v in row] for row in block]
+
+
 @functools.lru_cache(maxsize=None)
 def minor_map(
     sel: YoungSeq, ctx: Context, mask: SpecMask = EMPTY_MASK
@@ -175,15 +184,14 @@ def minor_map(
         raise InvalidInputError(f"expected {ctx.p} columns, got {sel!r}")
     if entries[0] < 1 or entries[-1] > ctx.stacked_width:
         raise InvalidInputError(f"columns out of range: {sel!r}")
+    if any(a >= b for a, b in zip(entries, entries[1:])):
+        raise InvalidInputError(f"columns must be strictly increasing: {sel!r}")
     w = ctx.width
-    block = []
-    for i in range(1, ctx.p + 1):
-        row = []
-        for c in entries:
-            v = XVar(i, residue(c, w), stacked_level(c, w))
-            row.append(Polynomial.zero() if v in mask else Polynomial.variable(v))
-        block.append(row)
-    return polyring.det(block)
+    block = [
+        [XVar(i, residue(c, w), stacked_level(c, w)) for c in entries]
+        for i in range(1, ctx.p + 1)
+    ]
+    return polyring.det(_masked(block, mask))
 
 
 # -- masked generator images and the induced homomorphism ----------------------
@@ -191,11 +199,22 @@ def minor_map(
 
 @functools.lru_cache(maxsize=None)
 def generator_image(u: PluckerVar, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:
-    """Image of a lattice variable under the (possibly masked) minor map."""
+    """Image of a lattice variable under the (possibly masked) minor map: the
+    coefficient of t^a in the maximal minor on columns alpha.
+
+    That coefficient sums, over the compositions (l_1, ..., l_p) of a, the
+    determinant of the block whose row i holds the level-l_i variables.  A
+    monomial fixes its composition, so the blocks share no monomial and
+    their terms merge with no cancellation.
+    """
     lattice.validate_var(u, ctx, bound_shift=False)
     if u.shift > ctx.n * ctx.p:
         raise DomainError(f"shift {u.shift} exceeds the maximal degree {ctx.n * ctx.p}")
-    return polyring.det_coeff(ctx, u.cols, u.shift, mask)
+    terms: dict = {}
+    for levels in _compositions(u.shift, ctx):
+        block = [[XVar(i, j, l) for j in u.cols] for i, l in enumerate(levels, start=1)]
+        terms.update(polyring.det(_masked(block, mask)).terms)
+    return Polynomial(terms)
 
 
 def apply_hom(f: Polynomial, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:

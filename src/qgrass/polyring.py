@@ -4,7 +4,8 @@ Variables are either matrix-entry coordinates x[i,j,l] (XVar) or lattice
 elements (PluckerVar); monomials are sorted exponent tuples and polynomials
 map monomials to exact coefficients (int, promoted to Fraction only when a
 computation forces it).  Degree-reverse-lexicographic term orders, weight
-initial forms, determinants of matrices of level-graded entries, and the
+initial forms, the Leibniz determinant of a block of distinct variables
+(one term of coefficient +-1 per permutation, none cancelling), and the
 canonical text/JSON serializations all live here.
 """
 
@@ -85,11 +86,6 @@ def mono_deg(a: Mono) -> int:
 
 def mono_weight(a: Mono, weight: Callable) -> int:
     return sum(e * weight(v) for v, e in a)
-
-
-def level_sum(a: Mono) -> int:
-    """Total level of an X-monomial; equals its degree in the deformation parameter."""
-    return sum(e * v.level for v, e in a)
 
 
 class Polynomial:
@@ -354,80 +350,22 @@ def initial_form(poly: Polynomial, weight: Callable) -> Polynomial:
 # -- determinants -------------------------------------------------------------
 
 
-def det(rows: list[list[Polynomial]]) -> Polynomial:
-    """Determinant by cofactor expansion along the sparsest row."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+def det(block: list[list[Optional[XVar]]]) -> Polynomial:
+    """Leibniz expansion of a square block of distinct variables, None for a
+    zero entry.
+
+    Each permutation with no zero entry gives its own squarefree monomial,
+    so no two terms cancel and every coefficient is the permutation's sign.
+    """
+    n = len(block)
+    if any(len(row) != n for row in block):
         raise InvalidInputError("determinant of a non-square matrix")
-    if n == 0:
-        return Polynomial.constant(1)
-    if n == 1:
-        return rows[0][0]
-    r = min(range(n), key=lambda i: sum(1 for e in rows[i] if e))
-    rest = [row for i, row in enumerate(rows) if i != r]
-    acc = Polynomial.zero()
-    for j, e in enumerate(rows[r]):
-        if not e:
-            continue
-        minor_rows = [row[:j] + row[j + 1 :] for row in rest]
-        cofactor = det(minor_rows)
-        piece = e * cofactor
-        acc = acc + (piece if (r + j) % 2 == 0 else -piece)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def generator_matrix(
-    ctx: Context, mask: frozenset = frozenset()
-) -> tuple[tuple[Polynomial, ...], ...]:
-    """The p x (m+p) matrix whose (i,j) entry sums x[i,j,l] over unmasked levels.
-
-    Built once per (ctx, mask): every full minor of a mask reads the same one.
-
-    Every term of any minor has a well-defined total level, so coefficient
-    extraction in the deformation parameter is a filter on level sums.
-    """
-    rows = []
-    for i in range(1, ctx.p + 1):
-        row = []
-        for j in range(1, ctx.width + 1):
-            entry = Polynomial(
-                {
-                    ((XVar(i, j, l), 1),): 1
-                    for l in range(ctx.n + 1)
-                    if XVar(i, j, l) not in mask
-                }
-            )
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def select_level_sum(poly: Polynomial, a: int) -> Polynomial:
-    return Polynomial({m: c for m, c in poly.terms.items() if level_sum(m) == a})
-
-
-@functools.lru_cache(maxsize=None)
-def _full_minor(ctx: Context, mask: frozenset, cols: tuple[int, ...]) -> Polynomial:
-    matrix = generator_matrix(ctx, mask)
-    return det([[matrix[i][j - 1] for j in cols] for i in range(ctx.p)])
-
-
-def det_coeff(
-    ctx: Context,
-    cols: tuple[int, ...],
-    t_degree: int,
-    mask: frozenset = frozenset(),
-) -> Polynomial:
-    """Coefficient of t^a in the maximal minor on the given columns.
-
-    A degree above the maximal possible level sum simply yields zero.
-    """
-    if len(cols) != ctx.p:
-        raise InvalidInputError(f"expected {ctx.p} columns, got {cols!r}")
-    if t_degree < 0:
-        raise InvalidInputError("negative coefficient degree")
-    return select_level_sum(_full_minor(ctx, mask, tuple(cols)), t_degree)
+    terms: dict = {}
+    for perm in itertools.permutations(range(n)):
+        vs = [row[j] for row, j in zip(block, perm)]
+        if None not in vs:
+            terms[tuple(sorted((v, 1) for v in vs))] = lattice.sort_sign(perm)
+    return Polynomial(terms)
 
 
 # -- serialization ------------------------------------------------------------

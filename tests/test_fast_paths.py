@@ -62,13 +62,15 @@ from qgrass.straighten import (
     x_packer,
 )
 
+from test_polyring import level_sum
+
 
 def factor_initial_scan(mono, ctx, elems=None):
     """Reference: scan every element u for psi(u) dividing mono."""
     if elems is None:
         elems = lattice.elements(ctx)
     allowed = set(elems)
-    budget = polyring.level_sum(mono)
+    budget = level_sum(mono)
     found = []
     for u in elems:
         if u.shift > budget or budget - u.shift > ctx.q:
@@ -318,7 +320,7 @@ def subduct_polynomial(f, ctx, interval=None):
         except NotInInitialAlgebraError:
             return SubductionTrace(steps, f, witness=mono)
         if cap is None:
-            md = (column_multiset(mono), polyring.level_sum(mono))
+            md = (column_multiset(mono), level_sum(mono))
             cap = table.counts.get(md, 0) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")

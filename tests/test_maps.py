@@ -23,6 +23,7 @@ from qgrass.maps import (
 from qgrass.polyring import Mono, Polynomial, X_ORDER, XVar, emit_text, initial_form
 
 from conftest import golden_text
+from test_polyring import level_sum
 
 
 def test_phi_golden_expansion(ctx333):
@@ -35,7 +36,7 @@ def test_phi_golden_expansion(ctx333):
 def test_phi_bottom_is_level_zero_minor(ctx333):
     f = phi(parse_var("123^0"), ctx333)
     assert len(f.terms) == 6  # p! Leibniz terms
-    assert all(polyring.level_sum(m) == 0 for m in f.terms)
+    assert all(level_sum(m) == 0 for m in f.terms)
 
 
 def test_phi_shift_above_np():

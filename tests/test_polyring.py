@@ -1,26 +1,26 @@
+import functools
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from qgrass.lattice import Context, parse_var
-from qgrass import polyring
-from qgrass.errors import InvalidInputError
+from qgrass.lattice import Context, PluckerVar, YoungSeq, parse_var
+from qgrass import lattice, maps, polyring
+from qgrass.errors import DomainError, InvalidInputError
+from qgrass.maps import generator_image
 from qgrass.polyring import (
     Polynomial,
     X_ORDER,
     XVar,
     c_order,
     det,
-    det_coeff,
     emit_json,
     emit_text,
-    generator_matrix,
     initial_form,
-    level_sum,
     mono_deg,
     mono_div,
     mono_from_pairs,
@@ -147,12 +147,68 @@ def leibniz_det_coeff(ctx, cols, a, mask=frozenset()):
     return Polynomial(acc)
 
 
+def level_sum(a):
+    """Total level of an X-monomial; equals its degree in the deformation parameter."""
+    return sum(e * v.level for v, e in a)
+
+
+def cofactor_det(rows):
+    """Reference: determinant of a matrix of polynomials by cofactor expansion
+    along the sparsest row."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InvalidInputError("determinant of a non-square matrix")
+    if n == 0:
+        return Polynomial.constant(1)
+    if n == 1:
+        return rows[0][0]
+    r = min(range(n), key=lambda i: sum(1 for e in rows[i] if e))
+    rest = [row for i, row in enumerate(rows) if i != r]
+    acc = Polynomial.zero()
+    for j, e in enumerate(rows[r]):
+        if not e:
+            continue
+        piece = e * cofactor_det([row[:j] + row[j + 1 :] for row in rest])
+        acc = acc + (piece if (r + j) % 2 == 0 else -piece)
+    return acc
+
+
+def level_summed_matrix(ctx, mask=frozenset()):
+    """Reference: the p x (m+p) matrix whose (i,j) entry sums x[i,j,l] over
+    the unmasked levels l."""
+    return [
+        [
+            Polynomial(
+                {((XVar(i, j, l), 1),): 1 for l in range(ctx.n + 1) if XVar(i, j, l) not in mask}
+            )
+            for j in range(1, ctx.width + 1)
+        ]
+        for i in range(1, ctx.p + 1)
+    ]
+
+
+@functools.lru_cache(maxsize=64)
+def cofactor_minor(ctx, cols, mask=frozenset()):
+    """Reference: the maximal minor on cols of the level-summed matrix; the
+    coefficients of one minor are read off one expansion."""
+    matrix = level_summed_matrix(ctx, mask)
+    return cofactor_det([[row[j - 1] for j in cols] for row in matrix])
+
+
+def det_coeff(ctx, cols, a, mask=frozenset()):
+    """Reference: coefficient of t^a in the maximal minor on cols, the terms
+    of the cofactor minor whose level sum is a."""
+    minor = cofactor_minor(ctx, tuple(cols), mask)
+    return Polynomial({m: c for m, c in minor.terms.items() if level_sum(m) == a})
+
+
 def test_det_coeff_matches_leibniz_oracle():
     rng = random.Random(11)
     for _ in range(8):
         cols = tuple(sorted(rng.sample(range(1, 7), 3)))
         a = rng.randint(0, 3)
-        assert det_coeff(CTX, cols, a) == leibniz_det_coeff(CTX, cols, a)
+        image = generator_image(PluckerVar(cols, a), CTX)
+        assert image == leibniz_det_coeff(CTX, cols, a) == det_coeff(CTX, cols, a)
 
 
 def test_det_coeff_masked_matches_leibniz_oracle():
@@ -162,34 +218,120 @@ def test_det_coeff_masked_matches_leibniz_oracle():
         mask = frozenset(rng.sample(allvars, 8))
         cols = tuple(sorted(rng.sample(range(1, 7), 3)))
         a = rng.randint(0, 3)
-        assert det_coeff(CTX, cols, a, mask) == leibniz_det_coeff(CTX, cols, a, mask)
+        image = generator_image(PluckerVar(cols, a), CTX, mask)
+        assert image == leibniz_det_coeff(CTX, cols, a, mask) == det_coeff(CTX, cols, a, mask)
+
+
+DIFF_CONTEXTS = [Context(2, 2, 1, 2), Context(2, 3, 1, 2), Context(3, 3, 1, 3), Context(3, 3, 2, 6)]
+
+
+def interval_masks(ctx, count, seed):
+    """The masks of count seeded intervals [b, t], b < t."""
+    rng = random.Random(seed)
+    elems = lattice.elements(ctx)
+    masks = []
+    while len(masks) < count:
+        b, t = rng.sample(elems, 2)
+        if lattice.leq(b, t):
+            masks.append(maps.schubert_mask(ctx, t, b))
+    return masks
+
+
+def assert_signed_terms(f):
+    """No two Leibniz terms cancel, so every coefficient is 1 or -1."""
+    assert set(f.terms.values()) <= {1, -1}
+
+
+@pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=str)
+def test_generator_image_matches_cofactor_reference(ctx):
+    elems = lattice.elements(ctx)
+    masks = [maps.EMPTY_MASK]
+    masks += [maps.schubert_mask(ctx, u) for u in elems]
+    masks += interval_masks(ctx, 20, seed=sum(ctx))
+    # uncached, so the ~20k images at (3,3,2,6) are not kept; elements
+    # sorted by columns, so each reference minor is expanded once per mask
+    build = maps.generator_image.__wrapped__
+    for mask in masks:
+        for u in sorted(elems, key=lambda u: u.cols):
+            f = build(u, ctx, mask)
+            assert f == det_coeff(ctx, u.cols, u.shift, mask), (u, sorted(mask))
+            assert_signed_terms(f)
+
+
+@pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=str)
+def test_unmasked_image_has_one_term_per_permutation_and_composition(ctx):
+    for u in lattice.elements(ctx):
+        compositions = sum(
+            1 for ls in itertools.product(range(ctx.n + 1), repeat=ctx.p) if sum(ls) == u.shift
+        )
+        f = generator_image(u, ctx)
+        assert len(f.terms) == math.factorial(ctx.p) * compositions, u
+        assert_signed_terms(f)
+
+
+@pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=str)
+def test_chi_matches_cofactor_reference(ctx):
+    # every shift up to one past n*p, where the rows leave the stacked matrix
+    columns = itertools.combinations(range(1, ctx.width + 1), ctx.p)
+    for cols, a in itertools.product(columns, range(ctx.n * ctx.p + 2)):
+        u = PluckerVar(cols, a)
+        if u.shift + ctx.p > ctx.p * (ctx.n + 1):
+            with pytest.raises(DomainError):
+                maps.chi(u, ctx)
+            continue
+        levels_rows = [divmod(u.shift + i, ctx.p) for i in range(ctx.p)]
+        block = [[Polynomial.variable(XVar(r + 1, j, l)) for j in u.cols] for l, r in levels_rows]
+        f = maps.chi(u, ctx)
+        assert f == cofactor_det(block), u
+        assert len(f.terms) == math.factorial(ctx.p)
+        assert_signed_terms(f)
+
+
+@pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=str)
+def test_minor_map_matches_cofactor_reference(ctx):
+    w = ctx.width
+    for entries in itertools.combinations(range(1, ctx.stacked_width + 1), ctx.p):
+        sel = YoungSeq(entries)
+        for mask in (maps.EMPTY_MASK, maps.young_mask(ctx, sel), maps.young_mask(ctx, None, sel)):
+            block = [
+                [
+                    Polynomial.zero() if v in mask else Polynomial.variable(v)
+                    for v in (XVar(i, maps.residue(c, w), maps.stacked_level(c, w)) for c in entries)
+                ]
+                for i in range(1, ctx.p + 1)
+            ]
+            f = maps.minor_map(sel, ctx, mask)
+            assert f == cofactor_det(block), (sel, sorted(mask))
+            assert_signed_terms(f)
+
+
+def test_minor_map_refuses_a_repeated_column(ctx333):
+    with pytest.raises(InvalidInputError):
+        maps.minor_map(YoungSeq((2, 2, 5)), ctx333)
 
 
 def test_det_zero_row():
-    rows = [
-        [Polynomial.zero(), Polynomial.zero()],
-        [Polynomial.variable(XVar(2, 1, 0)), Polynomial.variable(XVar(2, 2, 0))],
-    ]
-    assert det(rows).is_zero()
+    assert det([[None, None], [XVar(2, 1, 0), XVar(2, 2, 0)]]).is_zero()
 
 
-def test_det_coeff_above_max_degree_is_zero():
-    assert det_coeff(CTX, (1, 2, 3), 4).is_zero()
+def test_det_refuses_a_non_square_block():
+    with pytest.raises(InvalidInputError):
+        det([[XVar(1, 1, 0), XVar(1, 2, 0)]])
 
 
 def test_det_coeff_degree_count():
     # coefficient of t^a has 6 * C(3, a) terms for the full 3x3 minor
     for a, n_terms in [(0, 6), (1, 18), (2, 18), (3, 6)]:
-        assert len(det_coeff(CTX, (4, 5, 6), a).terms) == n_terms
+        assert len(generator_image(PluckerVar((4, 5, 6), a), CTX).terms) == n_terms
 
 
 def test_level_sum_grading():
-    f = det_coeff(CTX, (1, 3, 5), 2)
-    assert all(level_sum(m) == 2 for m in f.terms)
+    f = generator_image(PluckerVar((1, 3, 5), 2), CTX)
+    assert f and all(level_sum(m) == 2 for m in f.terms)
 
 
 def test_emit_parse_round_trip_x():
-    f = det_coeff(CTX, (2, 4, 6), 1) + Polynomial.term(
+    f = generator_image(PluckerVar((2, 4, 6), 1), CTX) + Polynomial.term(
         mono(XVar(1, 1, 0), XVar(1, 1, 1)), Fraction(5, 3)
     )
     text = emit_text(f, "X")
@@ -317,12 +459,6 @@ def test_emission_is_descending(ctx333):
     terms = X_ORDER.sorted_terms(f)
     for (a, _), (b, _) in zip(terms, terms[1:]):
         assert X_ORDER.compare(a, b) > 0
-
-
-def test_generator_matrix_masked_entry():
-    mask = frozenset({XVar(1, 1, 1)})
-    matrix = generator_matrix(CTX, mask)
-    assert matrix[0][0] == Polynomial.variable(XVar(1, 1, 0))
 
 
 def test_order_multiplicative_property():

@@ -1,7 +1,8 @@
 """Differential tests against sympy, an independent computer algebra system.
 
-- det_coeff: the coefficient of t^a in a maximal minor of the level-graded
-  matrix, against sympy's expansion of the same minor with the deformation
+- generator_image: the coefficient of t^a in a maximal minor of the
+  level-graded matrix, one Leibniz expansion per composition of a, against
+  sympy's Berkowitz expansion of the same minor with the deformation
   parameter t kept explicit.
 - Polynomial multiplication, against sympy's expansion of the product.
 
@@ -15,8 +16,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from qgrass.lattice import Context
-from qgrass.polyring import Polynomial, XVar, det_coeff, mono_from_pairs
+from qgrass.errors import DomainError
+from qgrass.lattice import Context, PluckerVar
+from qgrass.maps import generator_image
+from qgrass.polyring import Polynomial, XVar, mono_from_pairs
 
 CTX = Context(3, 3, 1, 3)
 T = sympy.Symbol("t")
@@ -54,9 +57,13 @@ COLUMN_SETS = [(1, 2, 3), (1, 3, 5), (2, 4, 6), (4, 5, 6), (1, 2, 6)]
 
 @pytest.mark.parametrize("cols", COLUMN_SETS)
 def test_det_coeff_matches_sympy(cols):
-    for a in range(CTX.n * CTX.p + 2):
-        ours = to_sympy(det_coeff(CTX, cols, a))
+    for a in range(CTX.n * CTX.p + 1):
+        ours = to_sympy(generator_image(PluckerVar(cols, a), CTX))
         assert sympy.expand(ours - sympy_det_coeff(CTX, cols, a)) == 0, (cols, a)
+    # above the minor's degree n*p there is no coefficient to map onto
+    assert sympy_det_coeff(CTX, cols, CTX.n * CTX.p + 1) == 0
+    with pytest.raises(DomainError):
+        generator_image(PluckerVar(cols, CTX.n * CTX.p + 1), CTX)
 
 
 XVARS = [
