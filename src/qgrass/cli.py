@@ -238,7 +238,7 @@ def _dispatch(args, ctx: Context, out) -> int:
             print(json.dumps(doc, separators=(",", ":")), file=out)
         else:
             for v in zeroed:
-                print(f"zero x[{v.row},{v.col},{v.level}]", file=out)
+                print(f"zero {polyring.format_variable(v, 'X')}", file=out)
             for u, img in images:
                 print(f"{_fmt_var(u, args)} -> {polyring.emit_text(img, 'X', ctx)}", file=out)
         return 0

@@ -25,16 +25,16 @@ class NotInInitialAlgebraError(QgrassError):
     in use.
     """
 
-    def __init__(self, monomial, message="monomial is not in the initial algebra"):
-        super().__init__(message)
+    def __init__(self, monomial):
+        super().__init__("monomial is not in the initial algebra")
         self.monomial = monomial
 
 
 class SagbiFailureError(QgrassError):
     """Subduction of a generator product left a nonzero remainder."""
 
-    def __init__(self, pair, witness, message="subduction left a nonzero remainder"):
-        super().__init__(message)
+    def __init__(self, pair, witness):
+        super().__init__("subduction left a nonzero remainder")
         self.pair = pair
         self.witness = witness
 

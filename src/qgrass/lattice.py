@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, NotInImageError
@@ -88,6 +89,10 @@ def format_var(u: PluckerVar, compact: bool = False) -> str:
     return "%s^%d" % (",".join(str(c) for c in u.cols), u.shift)
 
 
+# columns, comma-separated or one digit each, then "^" and the shift: ASCII digits only
+_VAR_RE = re.compile(r"([0-9]+(?:,[0-9]+)*)\^([0-9]+)")
+
+
 def parse_var(text: str, p: Optional[int] = None) -> PluckerVar:
     """Parse "2,3,5^2" (general) or "235^2" (compact digit form).
 
@@ -95,31 +100,17 @@ def parse_var(text: str, p: Optional[int] = None) -> PluckerVar:
     equals 1, in which case the whole column part is a single number.
     """
     text = text.strip()
-    if "^" not in text:
-        raise InvalidInputError(f"missing shift in {text!r}")
-    colpart, _, shiftpart = text.rpartition("^")
-    try:
-        shift = int(shiftpart)
-    except ValueError:
-        raise InvalidInputError(f"bad shift in {text!r}") from None
-    if "," in colpart:
-        try:
-            cols = tuple(int(c) for c in colpart.split(","))
-        except ValueError:
-            raise InvalidInputError(f"bad column list in {text!r}") from None
-    elif p == 1:
-        try:
-            cols = (int(colpart),)
-        except ValueError:
-            raise InvalidInputError(f"bad column in {text!r}") from None
+    match = _VAR_RE.fullmatch(text)
+    if not match:
+        raise InvalidInputError(f"bad lattice variable {text!r}")
+    colpart, shift = match.group(1), int(match.group(2))
+    if "," in colpart or p == 1:
+        cols = tuple(int(c) for c in colpart.split(","))
     else:
-        if not colpart.isdigit():
-            raise InvalidInputError(f"bad column list in {text!r}")
         cols = tuple(int(c) for c in colpart)
-    u = PluckerVar(cols, shift)
     if p is not None and len(cols) != p:
         raise InvalidInputError(f"expected {p} columns in {text!r}")
-    return u
+    return PluckerVar(cols, shift)
 
 
 def leq(u: PluckerVar, v: PluckerVar) -> bool:
@@ -262,14 +253,10 @@ def incomparable_pairs(
     interval: Optional[tuple[PluckerVar, PluckerVar]] = None,
 ) -> list[tuple[PluckerVar, PluckerVar]]:
     """All unordered incomparable pairs, in canonical order."""
-    elems = elements(ctx, interval)
-    pairs = []
-    for i, u in enumerate(elems):
-        for v in elems[i + 1 :]:
-            # elems is a linear extension, so v <= u cannot hold here
-            if not leq(u, v):
-                pairs.append((u, v))
-    return pairs
+    # elements are a linear extension, so v <= u cannot hold for a later v
+    return [
+        (u, v) for u, v in itertools.combinations(elements(ctx, interval), 2) if not leq(u, v)
+    ]
 
 
 def bottom(ctx: Context) -> PluckerVar:

@@ -84,10 +84,6 @@ def mono_deg(a: Mono) -> int:
     return sum(e for _, e in a)
 
 
-def mono_weight(a: Mono, weight: Callable) -> int:
-    return sum(e * weight(v) for v, e in a)
-
-
 class Polynomial:
     """Sparse polynomial: monomial -> nonzero exact coefficient."""
 
@@ -253,11 +249,6 @@ class TermOrder:
         w.sort()
         return len(w), tuple(w)
 
-    def packer(self, variables: Iterable, max_exp: int) -> "Packer":
-        """A Packer for monomials over the given variables whose exponents
-        are at most max_exp."""
-        return Packer(self, variables, max_exp)
-
     def leading_term(self, poly: Polynomial) -> Optional[tuple[Coeff, Mono]]:
         """(coefficient, monomial) of the largest term; None for zero."""
         if not poly.terms:
@@ -342,7 +333,7 @@ def initial_form(poly: Polynomial, weight: Callable) -> Polynomial:
     """Sum of the terms of maximal weight, the weight extended additively."""
     if poly.is_zero():
         return Polynomial.zero()
-    weights = {m: mono_weight(m, weight) for m in poly.terms}
+    weights = {m: sum(e * weight(v) for v, e in m) for m in poly.terms}
     w = max(weights.values())
     return Polynomial({m: c for m, c in poly.terms.items() if weights[m] == w})
 
@@ -370,8 +361,8 @@ def det(block: list[list[Optional[XVar]]]) -> Polynomial:
 
 # -- serialization ------------------------------------------------------------
 
-_XVAR_RE = re.compile(r"^x\[(\d+),(\d+),(\d+)\]$")
-_JVAR_RE = re.compile(r"^\((\d+(?:,\d+)*)\)$")
+_XVAR_RE = re.compile(r"^x\[([0-9]+),([0-9]+),([0-9]+)\]$")
+_JVAR_RE = re.compile(r"^\(([0-9]+(?:,[0-9]+)*)\)$")
 
 
 def format_variable(v, kind: str, compact: bool = False) -> str:
@@ -483,12 +474,12 @@ def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
             factor = factor.strip()
             if not factor:
                 raise InvalidInputError(f"empty term or factor in {text!r}")
-            if re.fullmatch(r"\d+(/\d+)?", factor):
+            if re.fullmatch(r"[0-9]+(/[0-9]+)?", factor):
                 coeff = coeff * _parse_coeff(factor)
                 continue
             if "**" in factor:
                 varpart, _, exppart = factor.rpartition("**")
-                e = _exponent(int(exppart) if exppart.isdecimal() else exppart)
+                e = _exponent(int(exppart) if re.fullmatch("[0-9]+", exppart) else exppart)
             else:
                 varpart, e = factor, 1
             pairs.append((parse_variable(varpart, kind, p=p), e))

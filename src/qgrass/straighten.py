@@ -13,6 +13,7 @@ never subducts.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import os
 from typing import NamedTuple, Optional, Union
@@ -135,7 +136,7 @@ def x_packer(ctx: Context) -> Packer:
         for j in range(1, ctx.width + 1)
         for l in range(ctx.n + 1)
     )
-    return X_ORDER.packer(variables, 2 * ctx.p)
+    return Packer(X_ORDER, variables, 2 * ctx.p)
 
 
 class SubductionTable(NamedTuple):
@@ -174,21 +175,20 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
 def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionTable:
     elems = lattice.elements(ctx, interval)
     pack = x_packer(ctx).pack
-    leads = [pack(maps.psi(u, ctx)) for u in elems]
+    leads = {u: pack(maps.psi(u, ctx)) for u in elems}
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
     counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for i, (u, lu) in enumerate(zip(elems, leads)):
-        for v, lv in zip(elems[i:], leads[i:]):
-            if lattice.leq(u, v):
-                lead = lu + lv
-                if lead in lead_pairs:
-                    raise InternalInconsistencyError(
-                        f"monomial admits two standard factorizations: "
-                        f"{lead_pairs[lead]!r} and {(u, v)!r}"
-                    )
-                lead_pairs[lead] = (u, v)
-                md = _multidegree(u, v)
-                counts[md] = counts.get(md, 0) + 1
+    for u, v in itertools.combinations_with_replacement(elems, 2):
+        if lattice.leq(u, v):
+            lead = leads[u] + leads[v]
+            if lead in lead_pairs:
+                raise InternalInconsistencyError(
+                    f"monomial admits two standard factorizations: "
+                    f"{lead_pairs[lead]!r} and {(u, v)!r}"
+                )
+            lead_pairs[lead] = (u, v)
+            md = _multidegree(u, v)
+            counts[md] = counts.get(md, 0) + 1
     return SubductionTable(interval_mask(ctx, interval), lead_pairs, counts)
 
 
@@ -319,7 +319,9 @@ def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Qu
 
     A remainder is a sagbi failure.  The shape conditions (second term is
     the join-meet product with coefficient -1, all later pairs strictly
-    straddle) are asserted rather than assumed.
+    straddle) are asserted rather than assumed.  They make every step pair
+    comparable, so no trailing term is an incomparable product: the first
+    is meet <= join, and each later (u, v) has u <= meet <= join <= v.
     """
     if trace.remainder:
         raise SagbiFailureError((gamma, delta), trace.witness)
@@ -340,9 +342,6 @@ def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Qu
             raise InternalInconsistencyError(
                 f"trailing pair ({u!r}, {v!r}) does not straddle the meet/join"
             )
-    for (u, v), _ in trace.steps:
-        if lattice.incomparable(u, v):
-            raise InternalInconsistencyError("trailing term is divisible by a lead pair")
     return Quadric(poly, (gamma, delta))
 
 
@@ -463,9 +462,8 @@ def kernel_quadrics_oracle(
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
     groups: dict[tuple, list[tuple[PluckerVar, PluckerVar]]] = {}
-    for i, u in enumerate(elems):
-        for v in elems[i:]:
-            groups.setdefault(_multidegree(u, v), []).append((u, v))
+    for u, v in itertools.combinations_with_replacement(elems, 2):
+        groups.setdefault(_multidegree(u, v), []).append((u, v))
     leads = {u: image[0][0] for u in elems if (image := packed_image(u, ctx, mask))}
     relations: dict[Mono, Polynomial] = {}
     for pairs in groups.values():

@@ -17,13 +17,9 @@ from .lattice import Context, PluckerVar
 from .polyring import Polynomial
 
 
-def shift_weight(_ctx: Optional[Context] = None):
+def shift_weight(u: PluckerVar) -> int:
     """Weight on lattice variables: shift a gets -a^2."""
-
-    def w(u):
-        return -(u.shift**2)
-
-    return w
+    return -(u.shift**2)
 
 
 def weight_initial_r(gamma: PluckerVar, delta: PluckerVar, ctx: Context) -> Polynomial:
@@ -33,7 +29,7 @@ def weight_initial_r(gamma: PluckerVar, delta: PluckerVar, ctx: Context) -> Poly
     relations among the row-consecutive minors.
     """
     relation = straighten.straightening_relation(gamma, delta, ctx)
-    return polyring.initial_form(relation.poly, shift_weight(ctx))
+    return polyring.initial_form(relation.poly, shift_weight)
 
 
 def sort_signed(cols: tuple[int, ...], shift: int) -> tuple[int, Optional[PluckerVar]]:
@@ -111,17 +107,16 @@ def quantum_syzygy_v(t: lattice.Tableau, ctx: Context) -> Polynomial:
     relations are linearly independent, so the combination is unique.
     """
     w_target = skew_syzygy_w(t, ctx)
-    wc = shift_weight(ctx)
     u, v = t
-    level = wc(u) + wc(v)
+    level = shift_weight(u) + shift_weight(v)
     pairs = [
         (g, d)
         for g, d in lattice.incomparable_pairs(ctx)
-        if wc(g) + wc(d) == level
+        if shift_weight(g) + shift_weight(d) == level
     ]
     relations = [straighten.straightening_relation(g, d, ctx) for g, d in pairs]
     initial_rows = [
-        dict(polyring.initial_form(rel.poly, wc).terms) for rel in relations
+        dict(polyring.initial_form(rel.poly, shift_weight).terms) for rel in relations
     ]
     combo = linalg.solve_in_span(
         dict(w_target.terms), initial_rows, polyring.c_order(ctx).key
@@ -131,7 +126,7 @@ def quantum_syzygy_v(t: lattice.Tableau, ctx: Context) -> Polynomial:
     out = Polynomial.zero()
     for idx, c in combo.items():
         out = out + relations[idx].poly.scale(c)
-    if polyring.initial_form(out, wc) != w_target:
+    if polyring.initial_form(out, shift_weight) != w_target:
         raise InternalInconsistencyError("lift does not have the requested initial form")
     return out
 

@@ -205,7 +205,7 @@ def test_criterion_09_syzygy_layer(ctx333):
     assert emit_text(quantum_syzygy_v(t, ctx333), "C", ctx333, compact=True) == golden
     r = weight_initial_r(*t, ctx333)
     s = straightening_relation(*t, ctx333).poly
-    assert r == initial_form(s, shift_weight(ctx333))
+    assert r == initial_form(s, shift_weight)
     assert len(r.terms) == 10
     assert all(r.terms[m] == s.terms[m] for m in r.terms)
     print("PASS criterion 9: skew syzygies lead/vanish; lifted syzygy equals the relation")

@@ -16,6 +16,7 @@ from qgrass.errors import InternalInconsistencyError, InvalidInputError, SagbiFa
 from qgrass.lattice import Context, parse_var
 
 from conftest import golden_text
+from test_lattice import BAD_VARS
 
 
 def run_cli(*argv):
@@ -312,6 +313,13 @@ def test_start_up_imports_no_worker_or_dataclass_support():
 def test_bad_variable_exit_code():
     code, _ = run_cli("--p", "3", "--m", "3", "--n", "1", "phi", "999^9")
     assert code == 1
+
+
+@pytest.mark.parametrize("text", BAD_VARS)
+def test_variable_outside_the_grammar_exits_1(capsys, text):
+    code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "poset", "rank", text)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("qgrass: error:")
 
 
 def test_n_defaults_from_q():

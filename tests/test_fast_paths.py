@@ -401,7 +401,7 @@ PACKER_CASES = [
 @needs_hypothesis
 @pytest.mark.parametrize("order,universe", PACKER_CASES, ids=["X", "C", "J"])
 def test_packed_order_reverses_compare_at_equal_degree(order, universe):
-    packer = order.packer(universe, 6)
+    packer = polyring.Packer(order, universe, 6)
 
     @settings(**MANY)
     @given(equal_degree_pairs(st.sampled_from(universe)))
@@ -417,7 +417,7 @@ def test_packed_order_reverses_compare_at_equal_degree(order, universe):
 @needs_hypothesis
 @pytest.mark.parametrize("order,universe", PACKER_CASES, ids=["X", "C", "J"])
 def test_packed_sum_is_mono_mul(order, universe):
-    packer = order.packer(universe, 12)
+    packer = polyring.Packer(order, universe, 12)
     monomial = monomials(st.sampled_from(universe))
 
     @settings(**MANY)

@@ -258,6 +258,18 @@ def test_parse_format_round_trip():
         validate_var(parse_var("253^2"), C331)
 
 
+# outside the grammar: ASCII digits, no sign, space or separator inside a variable
+BAD_VARS = [
+    "1,2,3^0_1", "+1,2,3^0", "1, 2,3^1", "123^+1", "123^-1", "１２３^0", "12²^0", "^1", "1^2^3"
+]
+
+
+@pytest.mark.parametrize("text", BAD_VARS)
+def test_parse_var_refuses_text_outside_the_grammar(text):
+    with pytest.raises(InvalidInputError):
+        parse_var(text)
+
+
 def test_validate_var():
     with pytest.raises(InvalidInputError):
         validate_var(PluckerVar((1, 2), 0), C331)  # wrong p

@@ -438,6 +438,9 @@ def test_parse_json_refuses_a_zero_denominator():
         (lambda t: parse_text(t, "X"), "x[1,1,0]*"),
         (lambda t: parse_text(t, "X"), "*x[1,1,0]"),
         (lambda t: parse_text(t, "X"), "x[1,1,0]* *x[1,2,0]"),
+        (lambda t: parse_text(t, "X"), "x[１,1,0]"),
+        (lambda t: parse_text(t, "J"), "(５,9,10)"),
+        (lambda t: parse_text(t, "X"), "x[1,1,0]**２"),
         (parse_json, json.dumps({"vars": "X", "terms": [_term("1", ("x[1,1,0]", 1, 2))]})),
         (parse_json, json.dumps({"vars": "X", "terms": [_term("1", ("x[1,1,0]",))]})),
         (parse_json, json.dumps({"vars": "X", "terms": [{"c": "1", "m": "x"}]})),
@@ -445,6 +448,7 @@ def test_parse_json_refuses_a_zero_denominator():
         (parse_json, "["),
     ],
     ids=["empty-text", "sign-only", "dangling-star", "leading-star", "doubled-star",
+         "wide-digit-variable", "wide-digit-sequence", "wide-digit-exponent",
          "pair-of-3", "pair-of-1", "m-not-array", "terms-not-array", "not-json"],
 )
 def test_parsers_refuse_malformed_input(parse, text):

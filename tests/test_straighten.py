@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from qgrass.errors import (
     SagbiFailureError,
 )
 from qgrass.lattice import Context, PluckerVar, elements, incomparable_pairs, meet_join, parse_var
-from qgrass import lattice, linalg, maps, polyring, straighten
+from qgrass import cli, lattice, linalg, maps, polyring, straighten
 from qgrass.polyring import Polynomial, emit_text, mono_from_pairs
 from qgrass.straighten import (
     factor_initial,
@@ -166,6 +167,60 @@ def test_subduct_witness(ctx333):
     trace = subduct(f, ctx333)
     assert not trace.remainder.is_zero()
     assert trace.witness is not None
+
+
+# the guards of subduct and _quadric, each made to fire on the 29-step
+# relation of 156^1 * 234^2, whose first step is the meet/join 146^1 * 235^2
+GAMMA_DELTA = (parse_var("156^1"), parse_var("234^2"))
+
+
+def test_subduct_step_budget_fires(ctx333, monkeypatch, capsys):
+    # a table counting no standard pair in any multidegree allows one step
+    table = straighten.subduction_table(ctx333)
+    starved = table._replace(counts={md: 0 for md in table.counts})
+    monkeypatch.setattr(straighten, "subduction_table", lambda ctx, interval=None: starved)
+    with pytest.raises(InternalInconsistencyError, match="exceeded its step budget"):
+        subduct(GAMMA_DELTA, ctx333)
+    out = io.StringIO()
+    code = cli.run(["--p", "3", "--m", "3", "--n", "1", "straighten", "156^1", "234^2"], out=out)
+    assert (code, out.getvalue()) == (2, "")
+    assert capsys.readouterr().err.startswith("qgrass: mathematical failure")
+
+
+@pytest.fixture
+def fresh_images():
+    """Clear the packed image cache before and after the test, so an image
+    built under a patch neither meets a cached one nor outlives it."""
+    straighten.packed_image.cache_clear()
+    yield
+    straighten.packed_image.cache_clear()
+
+
+def test_subduct_zero_image_fires(ctx333, monkeypatch, fresh_images):
+    meet = parse_var("146^1")
+    real_image = maps.generator_image
+
+    def image(u, ctx, mask=maps.EMPTY_MASK):
+        return Polynomial.zero() if u == meet else real_image(u, ctx, mask)
+
+    monkeypatch.setattr(maps, "generator_image", image)
+    with pytest.raises(InternalInconsistencyError, match="zero image for"):
+        subduct(GAMMA_DELTA, ctx333)
+
+
+def test_quadric_refuses_doctored_traces(ctx333):
+    trace = subduct(GAMMA_DELTA, ctx333)
+    assert straighten._quadric(*GAMMA_DELTA, trace).lead_pair == GAMMA_DELTA
+    first, *later = trace.steps
+    incomparable_step = (GAMMA_DELTA, 1)
+    # an incomparable pair at step 0 fails the first-step check
+    with pytest.raises(InternalInconsistencyError, match="first subduction step"):
+        straighten._quadric(*GAMMA_DELTA, trace._replace(steps=[incomparable_step, *later]))
+    # at a later step it fails the straddle check, as does a repeat of the meet/join
+    for step in (incomparable_step, first):
+        doctored = trace._replace(steps=[first, step, *later[1:]])
+        with pytest.raises(InternalInconsistencyError, match="does not straddle"):
+            straighten._quadric(*GAMMA_DELTA, doctored)
 
 
 def test_straightening_golden(ctx333):

@@ -40,7 +40,7 @@ def test_weight_initial_r_is_first_ten_terms(ctx333):
         sum(v.shift for v, _ in m) == 3 and {v.shift for v, _ in m} == {1, 2}
         for m in r.terms
     )
-    assert r == initial_form(s, shift_weight(ctx333))
+    assert r == initial_form(s, shift_weight)
     assert all(r.terms[m] == s.terms[m] for m in r.terms)
 
 
@@ -52,7 +52,7 @@ def test_r_equals_s_at_constant_weight():
 
 def test_chi_kills_r_everywhere(ctx333, gb333):
     for quad in gb333:
-        r = initial_form(quad.poly, shift_weight(ctx333))
+        r = initial_form(quad.poly, shift_weight)
         assert chi_image(r, ctx333).is_zero()
 
 
@@ -107,12 +107,11 @@ def test_quantum_syzygy_v_matches_straightening(ctx333):
 
 
 def test_quantum_syzygy_v_properties(ctx333):
-    wc = shift_weight(ctx333)
     sample = non_standard_tableaux(ctx333)[::41]
     for t in sample:
         v = quantum_syzygy_v(t, ctx333)
         assert maps.apply_hom(v, ctx333).is_zero()
-        assert initial_form(v, wc) == skew_syzygy_w(t, ctx333)
+        assert initial_form(v, shift_weight) == skew_syzygy_w(t, ctx333)
 
 
 def test_coefficient_relations_report_3_3_1():
