@@ -222,7 +222,7 @@ def _dispatch(args, ctx: Context, out) -> int:
 
     if cmd == "schubert":
         top = _parse_var(args.top, ctx)
-        bot = _parse_var(args.skew, ctx) if args.skew else None
+        bot = None if args.skew is None else _parse_var(args.skew, ctx)
         mask = maps.schubert_mask(ctx, top, bot)
         members = lattice.elements(ctx, (bot or lattice.bottom(ctx), top))
         images = [(u, maps.generator_image(u, ctx, mask)) for u in members]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from typing import NamedTuple, Optional
 
@@ -122,9 +123,7 @@ def leq(u: PluckerVar, v: PluckerVar) -> bool:
     if len(u.cols) != len(v.cols):
         raise InvalidInputError("mismatched column counts: %r vs %r" % (u, v))
     d = v.shift - u.shift
-    if d < 0:
-        return False
-    return all(u.cols[i] <= v.cols[i + d] for i in range(len(u.cols) - d))
+    return d >= 0 and all(map(operator.le, u.cols, v.cols[d:]))
 
 
 def incomparable(u: PluckerVar, v: PluckerVar) -> bool:

@@ -12,10 +12,12 @@ never subducts.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
 import os
+from collections import _count_elements  # the C counting loop of Counter.update
 from typing import NamedTuple, Optional, Union
 
 from . import lattice, linalg, maps, polyring
@@ -148,13 +150,14 @@ class SubductionTable(NamedTuple):
     without one), u == v included.  By the sagbi theorem these are the
     monomials of the initial algebra, one standard pair each (the Hibi
     toric ring), so the map is the whole factoring step of subduction;
-    counts: the number of standard pairs u <= v (u == v included) per
-    multidegree, keyed by _multidegree.
+    leads: per multidegree (keyed by _multidegree), the keys of lead_pairs
+    whose pairs lie in it, in ascending order: the candidate leading terms
+    that subduct walks, one per standard pair of the multidegree.
     """
 
     mask: SpecMask
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]]
-    counts: dict[tuple[tuple[int, ...], int], int]
+    leads: dict[tuple[tuple[int, ...], int], list[int]]
 
 
 def _multidegree(u: PluckerVar, v: PluckerVar) -> tuple[tuple[int, ...], int]:
@@ -177,7 +180,7 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
     pack = x_packer(ctx).pack
     leads = {u: pack(maps.psi(u, ctx)) for u in elems}
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
+    by_md: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for u, v in itertools.combinations_with_replacement(elems, 2):
         if lattice.leq(u, v):
             lead = leads[u] + leads[v]
@@ -187,9 +190,10 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
                     f"{lead_pairs[lead]!r} and {(u, v)!r}"
                 )
             lead_pairs[lead] = (u, v)
-            md = _multidegree(u, v)
-            counts[md] = counts.get(md, 0) + 1
-    return SubductionTable(interval_mask(ctx, interval), lead_pairs, counts)
+            by_md.setdefault(_multidegree(u, v), []).append(lead)
+    for md_leads in by_md.values():
+        md_leads.sort()
+    return SubductionTable(interval_mask(ctx, interval), lead_pairs, by_md)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,6 +229,51 @@ def _add_product(g: dict, a: PackedPoly, b: PackedPoly, factor) -> None:
                 del g[w]
 
 
+SignedImage = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def signed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> SignedImage:
+    """packed_image(u, ctx, mask) split by sign: the ints of its positive
+    terms and those of its negative terms, each repeated |coefficient|
+    times.  An image is a minor, so each of its monomials is the product of
+    one permutation's entries and every coefficient is 1 or -1.
+    """
+    image = packed_image(u, ctx, mask)
+    return (
+        tuple(w for w, c in image if c > 0 for _ in range(c)),
+        tuple(w for w, c in image if c < 0 for _ in range(-c)),
+    )
+
+
+def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> None:
+    """pos - neg += c * a * b, where pos and neg count the positive and the
+    negative terms of a packed polynomial.
+
+    The product's positive terms are the sums of same-sign terms of a and
+    b, its negative terms those of opposite signs.  With |c| == 1 they are
+    counted by collections._count_elements, the C loop behind
+    Counter.update, on the plain dicts; any other c (an integer step of 2
+    or more, or a Fraction) is added term by term, which is already faster
+    than two C passes.
+    """
+    if c < 0:
+        c, pos, neg = -c, neg, pos
+    (a_pos, a_neg), (b_pos, b_neg) = a, b
+    for counts, x, y in (
+        (pos, a_pos, b_pos),
+        (pos, a_neg, b_neg),
+        (neg, a_pos, b_neg),
+        (neg, a_neg, b_pos),
+    ):
+        terms = itertools.starmap(operator.add, itertools.product(x, y))
+        if c == 1:
+            _count_elements(counts, terms)
+        else:
+            for w in terms:
+                counts[w] = counts.get(w, 0) + c
+
+
 def factor_initial(
     mono: Mono,
     ctx: Context,
@@ -249,6 +298,13 @@ def factor_initial(
     return pair
 
 
+def _mono_multidegree(m: Mono) -> tuple[tuple[int, ...], int]:
+    """The multidegree of an X-monomial: _multidegree(u, v) when m is
+    psi(u)*psi(v), since psi(u) uses each column of u once, at levels
+    summing to u.shift."""
+    return tuple(sorted(x.col for x, e in m for _ in range(e))), sum(x.level * e for x, e in m)
+
+
 def subduct(
     f: Union[Polynomial, tuple[PluckerVar, PluckerVar]],
     ctx: Context,
@@ -257,61 +313,109 @@ def subduct(
     """Cancel leading monomials by images of standard pairs until exhausted.
 
     f is a polynomial homogeneous of matrix-degree 2p, or a pair (u, v)
-    standing for the product of their generator images.  The loop runs on
-    x_packer ints (see Packer): all terms have degree 2p, so the leading
-    term is the smallest int.  Each step looks the leading int up in the
-    table's lead_pairs and cancels it with the image of that standard
-    pair; the images lead with 1 or -1, so the step coefficient is the
-    leading coefficient times both leads.  A leading monomial with no
-    standard pair stops the run and is reported as the witness.  Terms of
-    a polynomial input with a variable outside the context are never
-    cancelled, so they stay aside and stop the run once they lead.  Every
-    step stays in the multidegree of the input, whose standard pairs are
-    counted in the table, so more steps than that count plus one is an
-    internal error.  The input's multidegree is that of the first pair:
-    psi(u) uses each column of u once, at levels summing to u.shift.
+    standing for the product of their generator images.  The trace is that
+    of the running-minimum loop: take the leading term of the running
+    polynomial g, look it up in the table's lead_pairs, subtract that
+    pair's image product times the step coefficient (the leading
+    coefficient times both image leads, which are 1 or -1), and stop at a
+    leading term with no standard pair, reported as the witness.  The walk
+    below computes it without ranking g.
+
+    g is kept on x_packer ints (see Packer): all its terms have degree 2p,
+    so the leading term is the smallest int.  It is two counts, pos and
+    neg, of its positive and negative terms, and each product is counted
+    into them in C (_count_product).  The candidates are the table's leads
+    of the input's multidegree, which every term of g stays in; for a
+    polynomial input, the leads of the multidegrees its terms lie in.  The
+    walk visits them in ascending order, from the first at or above the
+    input's lead, and takes one step at each whose net count pos - neg is
+    nonzero.  A step's image product must lead at its candidate (checked),
+    so the step cancels it.
+
+    Why the steps are the loop's: a step's product has no term below its
+    candidate, so a key the walk has passed never changes again.  If g ends
+    at zero (pos == neg), each passed key was zero when passed, so each
+    nonzero candidate was the smallest term of g when visited.  Otherwise
+    the loop stops at the smallest key whose final counts differ, which is
+    no candidate (a visited candidate ends at zero): the trace is the
+    walk's steps before it, and the remainder is g at that point, the
+    final g plus the products of the later steps.  Terms of a polynomial
+    input with a variable outside the context are never cancelled, so they
+    stay aside and stop the loop once they lead: the stop is the
+    higher-ranked of that foreign term and the first differing key.  A
+    zero image at a candidate ends the walk; it is an internal error only
+    when that candidate is the stop, where the loop would meet it.
+
+    There is no step budget: the walk visits each of the len(leads[md])
+    candidates at most once, so it cannot take more steps than that, and
+    a step that fails to cancel its lead, which the budget used to catch,
+    is refused by the lead check.
     """
     table = subduction_table(ctx, interval)
     packer = x_packer(ctx)
+    mask = table.mask
+    pos: dict = {}
+    neg: dict = {}
     rest = Polynomial.zero()
     if isinstance(f, Polynomial):
         two_p = 2 * ctx.p
         if any(polyring.mono_deg(m) != two_p for m in f.terms):
             raise InvalidInputError("subduction input must be homogeneous of degree 2p")
-        g = {packer.pack(m): c for m, c in f.terms.items() if packer.covers(m)}
         rest = Polynomial({m: c for m, c in f.terms.items() if not packer.covers(m)})
+        covered = [(m, c) for m, c in f.terms.items() if packer.covers(m)]
+        for m, c in covered:
+            if c > 0:
+                pos[packer.pack(m)] = c
+            else:
+                neg[packer.pack(m)] = -c
+        mds = {_mono_multidegree(m) for m, _ in covered}
+        candidates = sorted(w for md in mds for w in table.leads.get(md, ()))
     else:
         u, v = f
-        g = {}
-        _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
+        _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
+        candidates = table.leads.get(_multidegree(u, v), [])
 
-    # no step touches rest, so its leading monomial stops the run once it leads
-    stop = max(rest.terms, key=X_ORDER.key, default=None)
-    cap = None
     steps: list[tuple[tuple[PluckerVar, PluckerVar], object]] = []
-    while g or stop:
-        lead = min(g, default=None)
-        pair = table.lead_pairs.get(lead)
-        if stop and (lead is None or X_ORDER.key(stop) > X_ORDER.key(packer.unpack(lead))):
-            pair, witness = None, stop
-        elif pair is None:
-            witness = packer.unpack(lead)
-        if pair is None:
-            remainder = Polynomial({packer.unpack(w): c for w, c in g.items()}) + rest
-            return SubductionTrace(steps, remainder, witness=witness)
-        u, v = pair
-        if cap is None:
-            cap = table.counts[_multidegree(u, v)] + 1
-        if len(steps) >= cap:
-            raise InternalInconsistencyError("subduction exceeded its step budget")
-        image_u, image_v = packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask)
-        for w, img in ((u, image_u), (v, image_v)):
-            if not img:
-                raise InternalInconsistencyError(f"zero image for {w!r}")
-        step = polyring.norm_coeff(g[lead] * image_u[0][1] * image_v[0][1])
-        _add_product(g, image_u, image_v, -step)
+    taken: list[int] = []  # the lead of each step
+    halt = None  # (candidate, generator) where a zero image ended the walk
+    start = min(itertools.chain(pos, neg), default=0)
+    for lead in candidates[bisect.bisect_left(candidates, start):]:
+        net = pos.get(lead, 0) - neg.get(lead, 0)
+        if not net:
+            continue
+        u, v = table.lead_pairs[lead]
+        image_u, image_v = packed_image(u, ctx, mask), packed_image(v, ctx, mask)
+        if not (image_u and image_v):
+            halt = lead, v if image_u else u
+            break
+        if image_u[0][0] + image_v[0][0] != lead:
+            raise InternalInconsistencyError(
+                f"the images of {u!r} and {v!r} do not lead at their standard monomial"
+            )
+        step = polyring.norm_coeff(net * image_u[0][1] * image_v[0][1])
+        _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), -step)
         steps.append(((u, v), step))
-    return SubductionTrace(steps, Polynomial.zero())
+        taken.append(lead)
+
+    # no step touches rest, so its leading monomial stops the loop once it leads
+    stop = max(rest.terms, key=X_ORDER.key, default=None)
+    if halt is None and stop is None and pos == neg:
+        return SubductionTrace(steps, Polynomial.zero())
+    differ = pos.items() ^ neg.items()
+    first = min(differ)[0] if differ else None
+    if stop is not None and (first is None or X_ORDER.key(stop) > X_ORDER.key(packer.unpack(first))):
+        witness = stop
+        done = sum(1 for w in taken if X_ORDER.key(packer.unpack(w)) > X_ORDER.key(stop))
+    else:
+        if halt is not None and halt[0] == first:
+            raise InternalInconsistencyError(f"zero image for {halt[1]!r}")
+        witness = packer.unpack(first)
+        done = bisect.bisect_left(taken, first)
+    g = {w: c for w in pos.keys() | neg.keys() if (c := pos.get(w, 0) - neg.get(w, 0))}
+    for (u, v), step in steps[done:]:
+        _add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), step)
+    remainder = Polynomial({packer.unpack(w): c for w, c in g.items()}) + rest
+    return SubductionTrace(steps[:done], remainder, witness=witness)
 
 
 def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Quadric:

@@ -21,3 +21,17 @@ def ctx333() -> Context:
 def gb333(ctx333):
     """The full straightening basis at (3,3,1,3); expensive, shared."""
     return straighten.reduced_groebner(ctx333)
+
+
+def clear_image_caches():
+    straighten.packed_image.cache_clear()
+    straighten.signed_image.cache_clear()
+
+
+@pytest.fixture
+def fresh_images():
+    """Clear the packed image caches before and after the test, so an image
+    built under a patch neither meets a cached one nor outlives it."""
+    clear_image_caches()
+    yield
+    clear_image_caches()

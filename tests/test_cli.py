@@ -322,6 +322,13 @@ def test_variable_outside_the_grammar_exits_1(capsys, text):
     assert capsys.readouterr().err.startswith("qgrass: error:")
 
 
+def test_empty_skew_exits_1(capsys):
+    # an empty --skew is a variable outside the grammar, not a missing one
+    code, out = run_cli("--p", "2", "--m", "2", "--n", "1", "schubert", "34^2", "--skew", "")
+    assert (code, out) == (1, "")
+    assert "bad lattice variable ''" in capsys.readouterr().err
+
+
 def test_n_defaults_from_q():
     # q without n: entry degree defaults to ceil(q/p)
     code, out = run_cli("--p", "2", "--m", "2", "--q", "3", "sagbi-check")

@@ -5,15 +5,17 @@ replaced, kept here as the reference.
   lead_pairs, the map from the packed psi(u)*psi(v) to each standard
   pair (u, v); the reference scans every element u and pattern-matches
   psi(u)'s quotient.
-- The step cap reads the table's count of standard pairs per multidegree;
-  the reference enumerates them with standard_monomials.
+- The table's leads hold one candidate lead per standard pair of each
+  multidegree; the reference enumerates the pairs with standard_monomials.
 - TermOrder.key ranks monomials; the references are TermOrder.compare and
   the dense degrevlex key over a fixed variable list that exact
   elimination used before it took TermOrder.key.
-- subduct runs on int-packed monomials (x_packer) and packed image
-  products; the reference is the same loop on Polynomial and Mono,
-  ranking every term by X_ORDER.leading_term at each step and dividing
-  by the image leads in Fractions.
+- subduct walks the candidate leads of its multidegree on two counts of
+  int-packed terms (x_packer); one reference is the running-minimum loop
+  on a dict of packed terms that it replaced, taking min(g) at each step,
+  and the other is that loop on Polynomial and Mono, ranking every term by
+  X_ORDER.leading_term at each step and dividing by the image leads in
+  Fractions.  Both keep the step budget the walk no longer needs.
 - Packer: integer order against TermOrder.compare, and integer addition
   against mono_mul.
 - kernel_quadrics_oracle builds its rows from the same packed image
@@ -27,6 +29,7 @@ replaced, kept here as the reference.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,7 +41,7 @@ except ImportError:  # the property tests skip; the differential tests still run
 
 needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
-from qgrass import lattice, linalg, maps, polyring
+from qgrass import lattice, linalg, maps, polyring, straighten
 from qgrass.errors import (
     InternalInconsistencyError,
     InvalidInputError,
@@ -62,6 +65,7 @@ from qgrass.straighten import (
     x_packer,
 )
 
+from conftest import clear_image_caches
 from test_polyring import level_sum
 
 
@@ -175,12 +179,15 @@ def all_multidegrees(elems):
 )
 def test_step_cap_counts_match_standard_monomials(ctx, interval):
     table = subduction_table(ctx, interval)
-    counts = table.counts
+    leads = table.leads
     mds = all_multidegrees(elements(ctx, interval))
-    assert set(counts) <= mds
+    assert set(leads) <= mds
     for md in mds:
-        assert counts.get(md, 0) == len(standard_monomials(ctx, 2, md, interval))
-    assert len(table.lead_pairs) == sum(counts.values())
+        assert len(leads.get(md, ())) == len(standard_monomials(ctx, 2, md, interval))
+    assert sorted(table.lead_pairs) == sorted(w for md_leads in leads.values() for w in md_leads)
+    for md, md_leads in leads.items():
+        assert md_leads == sorted(md_leads)
+        assert all(straighten._multidegree(*table.lead_pairs[w]) == md for w in md_leads)
     for w, (u, v) in table.lead_pairs.items():
         assert lattice.leq(u, v)
         assert w == x_packer(ctx).pack(psi_product(u, v, ctx))
@@ -321,7 +328,7 @@ def subduct_polynomial(f, ctx, interval=None):
             return SubductionTrace(steps, f, witness=mono)
         if cap is None:
             md = (column_multiset(mono), level_sum(mono))
-            cap = table.counts.get(md, 0) + 1
+            cap = len(table.leads.get(md, ())) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
         step = Fraction(coeff) / (lc(u) * lc(v))
@@ -438,18 +445,14 @@ def test_packer_refuses_an_exponent_beyond_its_digit():
         packer.pack(mono_from_pairs([(XVar(1, 1, 0), 8)]))
 
 
-def test_packed_image_refuses_a_lead_other_than_one(monkeypatch):
+def test_packed_image_refuses_a_lead_other_than_one(monkeypatch, fresh_images):
     # an image leading with 2 would make the step a Fraction
     ctx = Context(2, 2, 1, 2)
     u, v = incomparable_pairs(ctx)[0]
     real = maps.generator_image
     monkeypatch.setattr(maps, "generator_image", lambda w, c, m: real(w, c, m).scale(2))
-    packed_image.cache_clear()
-    try:
-        with pytest.raises(InternalInconsistencyError, match=r"leads with coefficient -?2,"):
-            subduct((u, v), ctx)
-    finally:
-        packed_image.cache_clear()
+    with pytest.raises(InternalInconsistencyError, match=r"leads with coefficient -?2,"):
+        subduct((u, v), ctx)
 
 
 def test_subduct_keeps_foreign_terms_aside_like_reference(ctx333):
@@ -466,6 +469,207 @@ def test_subduct_keeps_foreign_terms_aside_like_reference(ctx333):
         fast, ref = subduct(f, ctx333), subduct_polynomial(f, ctx333)
         assert_same_trace(fast, ref)
         assert fast.witness == X_ORDER.leading_term(extra)[1]
+
+
+# -- the walk against the running-minimum loop ---------------------------------
+
+
+def subduct_running_minimum(f, ctx, interval=None):
+    """Reference: packed subduction as the running-minimum loop it was
+    before the walk.  The running polynomial is one dict int -> coefficient;
+    each step takes its smallest int (min(g)) as the leading term, looks it
+    up in lead_pairs and subtracts the step times the image product with
+    _add_product, within a budget of one step per standard pair of the
+    multidegree, plus one."""
+    table = straighten.subduction_table(ctx, interval)
+    packer = x_packer(ctx)
+    rest = Polynomial.zero()
+    if isinstance(f, Polynomial):
+        two_p = 2 * ctx.p
+        if any(polyring.mono_deg(m) != two_p for m in f.terms):
+            raise InvalidInputError("subduction input must be homogeneous of degree 2p")
+        g = {packer.pack(m): c for m, c in f.terms.items() if packer.covers(m)}
+        rest = Polynomial({m: c for m, c in f.terms.items() if not packer.covers(m)})
+    else:
+        u, v = f
+        g = {}
+        _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
+
+    stop = max(rest.terms, key=X_ORDER.key, default=None)
+    cap = None
+    steps = []
+    while g or stop:
+        lead = min(g, default=None)
+        pair = table.lead_pairs.get(lead)
+        if stop and (lead is None or X_ORDER.key(stop) > X_ORDER.key(packer.unpack(lead))):
+            pair, witness = None, stop
+        elif pair is None:
+            witness = packer.unpack(lead)
+        if pair is None:
+            remainder = Polynomial({packer.unpack(w): c for w, c in g.items()}) + rest
+            return SubductionTrace(steps, remainder, witness=witness)
+        u, v = pair
+        if cap is None:
+            cap = len(table.leads.get(straighten._multidegree(u, v), ())) + 1
+        if len(steps) >= cap:
+            raise InternalInconsistencyError("subduction exceeded its step budget")
+        image_u, image_v = packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask)
+        for w, img in ((u, image_u), (v, image_v)):
+            if not img:
+                raise InternalInconsistencyError(f"zero image for {w!r}")
+        step = polyring.norm_coeff(g[lead] * image_u[0][1] * image_v[0][1])
+        _add_product(g, image_u, image_v, -step)
+        steps.append(((u, v), step))
+    return SubductionTrace(steps, Polynomial.zero())
+
+
+def trace_or_error(fn, *args):
+    try:
+        return fn(*args), None
+    except InternalInconsistencyError as e:
+        return None, str(e)
+
+
+def assert_walks_like_running_minimum(f, ctx, interval=None):
+    """The walk and the running-minimum loop give the same trace (steps,
+    their coefficient types, remainder, witness) or the same internal
+    error; returns the reference's (trace, error)."""
+    fast, fast_error = trace_or_error(subduct, f, ctx, interval)
+    ref, ref_error = trace_or_error(subduct_running_minimum, f, ctx, interval)
+    assert fast_error == ref_error
+    if ref is not None:
+        assert_same_trace(fast, ref)
+    return ref, ref_error
+
+
+@pytest.mark.parametrize("ctx", [CTX3312, Context(2, 2, 2, 4)], ids=str)
+def test_walk_matches_running_minimum_on_every_pair(ctx):
+    for u, v in itertools.combinations_with_replacement(elements(ctx), 2):
+        assert_walks_like_running_minimum((u, v), ctx)
+
+
+@pytest.mark.parametrize("bot,top", INTERVALS_3313)
+def test_walk_matches_running_minimum_in_intervals(ctx333, bot, top):
+    interval = (parse_var(bot), parse_var(top))
+    for u, v in itertools.combinations_with_replacement(elements(ctx333, interval), 2):
+        assert_walks_like_running_minimum((u, v), ctx333, interval)
+
+
+def test_walk_matches_running_minimum_on_a_seeded_sample_3326():
+    ctx = Context(3, 3, 2, 6)
+    rng = random.Random(19)
+    comparable = [
+        (u, v)
+        for u, v in itertools.combinations_with_replacement(elements(ctx), 2)
+        if lattice.leq(u, v)
+    ]
+    for pair in rng.sample(incomparable_pairs(ctx), 60) + rng.sample(comparable, 30):
+        assert_walks_like_running_minimum(pair, ctx)
+
+
+RELATION_29 = (parse_var("156^1"), parse_var("234^2"))  # 29 steps at (3,3,1,3)
+
+
+def relation_29_product(ctx):
+    return maps.phi(RELATION_29[0], ctx) * maps.phi(RELATION_29[1], ctx)
+
+
+@pytest.mark.parametrize("scale", [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-7, 3)])
+def test_walk_matches_running_minimum_on_scaled_sums(ctx333, scale):
+    # two products in different multidegrees (shift sums 3 and 4), one
+    # scaled: integer steps of 2 or more and Fraction steps, and candidates
+    # merged from two multidegrees; then a covered term outside the
+    # initial algebra, so the run fails with Fraction coefficients
+    other = maps.phi(parse_var("145^1"), ctx333) * maps.phi(parse_var("236^3"), ctx333)
+    f = relation_29_product(ctx333).scale(scale) + other
+    ref, _ = assert_walks_like_running_minimum(f, ctx333)
+    assert not ref.remainder and len(ref.steps) > 29
+    stuck = f + Polynomial.term(NON_FACTORABLE_3313[0], scale)
+    ref, _ = assert_walks_like_running_minimum(stuck, ctx333)
+    assert ref.witness == NON_FACTORABLE_3313[0]
+
+
+def step_leads(trace, ctx):
+    pack = x_packer(ctx).pack
+    return [pack(maps.psi(u, ctx)) + pack(maps.psi(v, ctx)) for (u, v), _ in trace.steps]
+
+
+def drop_lead(table, lead):
+    """table without the standard pair whose lead is lead."""
+    md = straighten._multidegree(*table.lead_pairs[lead])
+    return table._replace(
+        lead_pairs={w: pair for w, pair in table.lead_pairs.items() if w != lead},
+        leads={**table.leads, md: [w for w in table.leads[md] if w != lead]},
+    )
+
+
+def use_table(monkeypatch, table):
+    monkeypatch.setattr(straighten, "subduction_table", lambda ctx, interval=None: table)
+
+
+def test_walk_matches_running_minimum_with_a_lead_dropped(ctx333, monkeypatch):
+    # each step's lead in turn dropped from the table: the run stops there
+    table = subduction_table(ctx333)
+    leads = step_leads(subduct(RELATION_29, ctx333), ctx333)
+    f = relation_29_product(ctx333)
+    for k, lead in enumerate(leads):
+        use_table(monkeypatch, drop_lead(table, lead))
+        ref, error = assert_walks_like_running_minimum(RELATION_29, ctx333)
+        assert error is None and len(ref.steps) == k
+        assert ref.witness == x_packer(ctx333).unpack(lead)
+        assert_walks_like_running_minimum(f, ctx333)
+
+
+def test_walk_matches_running_minimum_with_a_zero_image(ctx333, monkeypatch, fresh_images):
+    trace = subduct(RELATION_29, ctx333)
+    leads = step_leads(trace, ctx333)
+    table = subduction_table(ctx333)
+    zeroed = set()
+    real = maps.generator_image
+    monkeypatch.setattr(
+        maps,
+        "generator_image",
+        lambda w, c, m=maps.EMPTY_MASK: Polynomial.zero() if w in zeroed else real(w, c, m),
+    )
+    for k in (1, 5, 17, 28):
+        zeroed.clear()
+        zeroed.add(trace.steps[k][0][1])
+        first = min(j for j, ((u, v), _) in enumerate(trace.steps) if zeroed & {u, v})
+        clear_image_caches()
+        use_table(monkeypatch, table)
+        _, error = assert_walks_like_running_minimum(RELATION_29, ctx333)
+        assert error == f"zero image for {trace.steps[first][0][1]!r}"
+        # a lead dropped before the zero image stops the run first
+        if first:
+            use_table(monkeypatch, drop_lead(table, leads[first - 1]))
+            ref, error = assert_walks_like_running_minimum(RELATION_29, ctx333)
+            assert error is None and len(ref.steps) == first - 1
+
+
+def test_walk_matches_running_minimum_with_foreign_terms(ctx333, monkeypatch):
+    # x[1,3,2] is a level outside the grid at n = 1; with five grid factors
+    # drawn at random, the foreign term lands above, inside and below the
+    # run, and a dropped lead makes it race the first differing key
+    product = relation_29_product(ctx333)
+    table = subduction_table(ctx333)
+    dropped = drop_lead(table, step_leads(subduct(RELATION_29, ctx333), ctx333)[12])
+    grid = [XVar(i, j, l) for i in range(1, 4) for j in range(1, 7) for l in range(2)]
+    rng = random.Random(5)
+    tables = {"whole": table, "dropped": dropped}
+    lengths = {name: set() for name in tables}
+    for _ in range(60):
+        mono = mono_from_pairs([(XVar(1, 3, 2), 1)] + [(rng.choice(grid), 1) for _ in range(5)])
+        f = product + Polynomial.term(mono, rng.choice([1, -1, 2, Fraction(1, 3)]))
+        for name, t in tables.items():
+            use_table(monkeypatch, t)
+            ref, error = assert_walks_like_running_minimum(f, ctx333)
+            assert error is None and ref.remainder
+            lengths[name].add((len(ref.steps), ref.witness == mono))
+    # the foreign term stopped some runs before, inside and after the run
+    assert {0, 29} <= {n for n, foreign in lengths["whole"] if foreign}
+    assert any(0 < n < 29 for n, foreign in lengths["whole"] if foreign)
+    # with step 12's lead dropped, some runs stop at it and some at the foreign term
+    assert {foreign for n, foreign in lengths["dropped"]} == {True, False}
 
 
 # -- the kernel oracle on packed image products -------------------------------
@@ -557,7 +761,7 @@ def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
         assert len({min(r) for r in rows}) == len(rows)
 
 
-def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch):
+def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_images):
     # a zero image makes zero rows, each a kernel vector of its own
     ctx = Context(2, 3, 1, 2)
     zeroed = elements(ctx)[7]
@@ -567,14 +771,10 @@ def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch):
         "generator_image",
         lambda w, c, m: Polynomial.zero() if w == zeroed else real(w, c, m),
     )
-    packed_image.cache_clear()
-    try:
-        assert packed_image(zeroed, ctx, interval_mask(ctx, None)) == []
-        fast = kernel_quadrics_oracle(ctx)
-        assert fast == kernel_quadrics_oracle_polynomial(ctx)
-        assert len(fast) > len(incomparable_pairs(ctx))
-    finally:
-        packed_image.cache_clear()
+    assert packed_image(zeroed, ctx, interval_mask(ctx, None)) == []
+    fast = kernel_quadrics_oracle(ctx)
+    assert fast == kernel_quadrics_oracle_polynomial(ctx)
+    assert len(fast) > len(incomparable_pairs(ctx))
 
 
 def test_add_product_matches_polynomial_product():

@@ -292,6 +292,31 @@ def test_canonical_order_is_linear_extension():
 LADDER = [(2, 2, 1, 2), (2, 3, 1, 2), (3, 3, 1, 1), (3, 3, 1, 3), (3, 4, 1, 3), (3, 3, 2, 6)]
 
 
+def leq_reference(u, v):
+    """Reference: leq's column test as an index generator, as it was before
+    it mapped operator.le over the columns."""
+    if len(u.cols) != len(v.cols):
+        raise InvalidInputError("mismatched column counts: %r vs %r" % (u, v))
+    d = v.shift - u.shift
+    if d < 0:
+        return False
+    return all(u.cols[i] <= v.cols[i + d] for i in range(len(u.cols) - d))
+
+
+@pytest.mark.parametrize("params", LADDER)
+def test_leq_matches_reference_on_every_pair(params):
+    elems = elements(Context(*params))
+    for u in elems:
+        for v in elems:
+            assert leq(u, v) is leq_reference(u, v)
+
+
+def test_leq_refuses_mismatched_column_counts_like_reference():
+    for fn in (leq, leq_reference):
+        with pytest.raises(InvalidInputError, match="mismatched column counts"):
+            fn(PluckerVar((1, 2), 0), PluckerVar((1, 2, 3), 0))
+
+
 def _incomparable_pairs_two_sided(ctx, interval=None):
     elems = elements(ctx, interval)
     return [

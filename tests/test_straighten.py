@@ -174,29 +174,7 @@ def test_subduct_witness(ctx333):
 GAMMA_DELTA = (parse_var("156^1"), parse_var("234^2"))
 
 
-def test_subduct_step_budget_fires(ctx333, monkeypatch, capsys):
-    # a table counting no standard pair in any multidegree allows one step
-    table = straighten.subduction_table(ctx333)
-    starved = table._replace(counts={md: 0 for md in table.counts})
-    monkeypatch.setattr(straighten, "subduction_table", lambda ctx, interval=None: starved)
-    with pytest.raises(InternalInconsistencyError, match="exceeded its step budget"):
-        subduct(GAMMA_DELTA, ctx333)
-    out = io.StringIO()
-    code = cli.run(["--p", "3", "--m", "3", "--n", "1", "straighten", "156^1", "234^2"], out=out)
-    assert (code, out.getvalue()) == (2, "")
-    assert capsys.readouterr().err.startswith("qgrass: mathematical failure")
-
-
-@pytest.fixture
-def fresh_images():
-    """Clear the packed image cache before and after the test, so an image
-    built under a patch neither meets a cached one nor outlives it."""
-    straighten.packed_image.cache_clear()
-    yield
-    straighten.packed_image.cache_clear()
-
-
-def test_subduct_zero_image_fires(ctx333, monkeypatch, fresh_images):
+def test_subduct_zero_image_fires(ctx333, monkeypatch, capsys, fresh_images):
     meet = parse_var("146^1")
     real_image = maps.generator_image
 
@@ -205,6 +183,24 @@ def test_subduct_zero_image_fires(ctx333, monkeypatch, fresh_images):
 
     monkeypatch.setattr(maps, "generator_image", image)
     with pytest.raises(InternalInconsistencyError, match="zero image for"):
+        subduct(GAMMA_DELTA, ctx333)
+    out = io.StringIO()
+    code = cli.run(["--p", "3", "--m", "3", "--n", "1", "straighten", "156^1", "234^2"], out=out)
+    assert (code, out.getvalue()) == (2, "")
+    assert capsys.readouterr().err.startswith("qgrass: mathematical failure")
+
+
+def test_subduct_lead_check_fires(ctx333, monkeypatch):
+    # the first step's lead mapped to the second step's pair, whose images
+    # lead elsewhere: the step would not cancel its candidate
+    table = straighten.subduction_table(ctx333)
+    trace = subduct(GAMMA_DELTA, ctx333)
+    (u, v), _ = trace.steps[0]
+    pack = straighten.x_packer(ctx333).pack
+    lead = pack(maps.psi(u, ctx333)) + pack(maps.psi(v, ctx333))
+    doctored = table._replace(lead_pairs={**table.lead_pairs, lead: trace.steps[1][0]})
+    monkeypatch.setattr(straighten, "subduction_table", lambda ctx, interval=None: doctored)
+    with pytest.raises(InternalInconsistencyError, match="do not lead at their standard monomial"):
         subduct(GAMMA_DELTA, ctx333)
 
 
