@@ -274,16 +274,12 @@ def count_maximal_chains(
 
     Dynamic programming over the rank grading; covers are pairs below each
     other at rank distance one.  Counts grow fast, so everything stays in
-    arbitrary-precision integers.
+    arbitrary-precision integers.  elements refuses an invalid interval.
     """
     if interval is None:
         interval = (bottom(ctx), top(ctx))
+    elems = elements(ctx, interval)
     bot, topv = interval
-    validate_var(bot, ctx)
-    validate_var(topv, ctx)
-    if not leq(bot, topv):
-        return 0
-    elems = elements(ctx, (bot, topv))
     by_rank: dict[int, list[PluckerVar]] = {}
     for u in elems:
         by_rank.setdefault(rank(u, ctx), []).append(u)

@@ -18,7 +18,7 @@ import itertools
 import operator
 import os
 from collections import _count_elements  # the C counting loop of Counter.update
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import lattice, linalg, maps, polyring
 from .errors import (
@@ -44,11 +44,12 @@ class Quadric(NamedTuple):
 class SubductionTrace(NamedTuple):
     """Audit record of one subduction run.
 
-    Replaying the steps against the input reproduces the remainder:
-    input - sum(coeff * image(u) * image(v)) == remainder.
+    Replaying the steps against the pair's image product reproduces the
+    remainder: image(gamma) * image(delta) - sum(coeff * image(u) *
+    image(v)) == remainder.
     """
 
-    steps: list[tuple[tuple[PluckerVar, PluckerVar], object]]
+    steps: list[tuple[tuple[PluckerVar, PluckerVar], int]]
     remainder: Polynomial
     witness: Optional[Mono] = None
 
@@ -254,8 +255,8 @@ def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> N
     b, its negative terms those of opposite signs.  With |c| == 1 they are
     counted by collections._count_elements, the C loop behind
     Counter.update, on the plain dicts; any other c (an integer step of 2
-    or more, or a Fraction) is added term by term, which is already faster
-    than two C passes.
+    or more) is added term by term, which is already faster than two C
+    passes.
     """
     if c < 0:
         c, pos, neg = -c, neg, pos
@@ -298,39 +299,30 @@ def factor_initial(
     return pair
 
 
-def _mono_multidegree(m: Mono) -> tuple[tuple[int, ...], int]:
-    """The multidegree of an X-monomial: _multidegree(u, v) when m is
-    psi(u)*psi(v), since psi(u) uses each column of u once, at levels
-    summing to u.shift."""
-    return tuple(sorted(x.col for x, e in m for _ in range(e))), sum(x.level * e for x, e in m)
-
-
 def subduct(
-    f: Union[Polynomial, tuple[PluckerVar, PluckerVar]],
+    pair: tuple[PluckerVar, PluckerVar],
     ctx: Context,
     interval: Optional[Interval] = None,
 ) -> SubductionTrace:
     """Cancel leading monomials by images of standard pairs until exhausted.
 
-    f is a polynomial homogeneous of matrix-degree 2p, or a pair (u, v)
-    standing for the product of their generator images.  The trace is that
-    of the running-minimum loop: take the leading term of the running
-    polynomial g, look it up in the table's lead_pairs, subtract that
-    pair's image product times the step coefficient (the leading
-    coefficient times both image leads, which are 1 or -1), and stop at a
-    leading term with no standard pair, reported as the witness.  The walk
-    below computes it without ranking g.
+    The pair (u, v) stands for the product of their generator images.  The
+    trace is that of the running-minimum loop: take the leading term of the
+    running polynomial g, look it up in the table's lead_pairs, subtract
+    that pair's image product times the step coefficient (the leading
+    coefficient times both image leads, which are 1 or -1, so an integer),
+    and stop at a leading term with no standard pair, reported as the
+    witness.  The walk below computes it without ranking g.
 
     g is kept on x_packer ints (see Packer): all its terms have degree 2p,
     so the leading term is the smallest int.  It is two counts, pos and
     neg, of its positive and negative terms, and each product is counted
     into them in C (_count_product).  The candidates are the table's leads
-    of the input's multidegree, which every term of g stays in; for a
-    polynomial input, the leads of the multidegrees its terms lie in.  The
-    walk visits them in ascending order, from the first at or above the
-    input's lead, and takes one step at each whose net count pos - neg is
-    nonzero.  A step's image product must lead at its candidate (checked),
-    so the step cancels it.
+    of the pair's multidegree, which every term of g stays in.  The walk
+    visits them in ascending order, from the first at or above the
+    product's lead, and takes one step at each whose net count pos - neg
+    is nonzero.  A step's image product must lead at its candidate
+    (checked), so the step cancels it.
 
     Why the steps are the loop's: a step's product has no term below its
     candidate, so a key the walk has passed never changes again.  If g ends
@@ -339,43 +331,22 @@ def subduct(
     the loop stops at the smallest key whose final counts differ, which is
     no candidate (a visited candidate ends at zero): the trace is the
     walk's steps before it, and the remainder is g at that point, the
-    final g plus the products of the later steps.  Terms of a polynomial
-    input with a variable outside the context are never cancelled, so they
-    stay aside and stop the loop once they lead: the stop is the
-    higher-ranked of that foreign term and the first differing key.  A
-    zero image at a candidate ends the walk; it is an internal error only
-    when that candidate is the stop, where the loop would meet it.
+    final g plus the products of the later steps.  A zero image at a
+    candidate ends the walk; it is an internal error only when that
+    candidate is the stop, where the loop would meet it.
 
     There is no step budget: the walk visits each of the len(leads[md])
-    candidates at most once, so it cannot take more steps than that, and
-    a step that fails to cancel its lead, which the budget used to catch,
-    is refused by the lead check.
+    candidates at most once, so it cannot take more steps than that.
     """
     table = subduction_table(ctx, interval)
-    packer = x_packer(ctx)
     mask = table.mask
     pos: dict = {}
     neg: dict = {}
-    rest = Polynomial.zero()
-    if isinstance(f, Polynomial):
-        two_p = 2 * ctx.p
-        if any(polyring.mono_deg(m) != two_p for m in f.terms):
-            raise InvalidInputError("subduction input must be homogeneous of degree 2p")
-        rest = Polynomial({m: c for m, c in f.terms.items() if not packer.covers(m)})
-        covered = [(m, c) for m, c in f.terms.items() if packer.covers(m)]
-        for m, c in covered:
-            if c > 0:
-                pos[packer.pack(m)] = c
-            else:
-                neg[packer.pack(m)] = -c
-        mds = {_mono_multidegree(m) for m, _ in covered}
-        candidates = sorted(w for md in mds for w in table.leads.get(md, ()))
-    else:
-        u, v = f
-        _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
-        candidates = table.leads.get(_multidegree(u, v), [])
+    u, v = pair
+    _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
+    candidates = table.leads.get(_multidegree(u, v), [])
 
-    steps: list[tuple[tuple[PluckerVar, PluckerVar], object]] = []
+    steps: list[tuple[tuple[PluckerVar, PluckerVar], int]] = []
     taken: list[int] = []  # the lead of each step
     halt = None  # (candidate, generator) where a zero image ended the walk
     start = min(itertools.chain(pos, neg), default=0)
@@ -392,30 +363,23 @@ def subduct(
             raise InternalInconsistencyError(
                 f"the images of {u!r} and {v!r} do not lead at their standard monomial"
             )
-        step = polyring.norm_coeff(net * image_u[0][1] * image_v[0][1])
+        step = net * image_u[0][1] * image_v[0][1]
         _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), -step)
         steps.append(((u, v), step))
         taken.append(lead)
 
-    # no step touches rest, so its leading monomial stops the loop once it leads
-    stop = max(rest.terms, key=X_ORDER.key, default=None)
-    if halt is None and stop is None and pos == neg:
+    if pos == neg:  # a zero image halts only at a nonzero count
         return SubductionTrace(steps, Polynomial.zero())
-    differ = pos.items() ^ neg.items()
-    first = min(differ)[0] if differ else None
-    if stop is not None and (first is None or X_ORDER.key(stop) > X_ORDER.key(packer.unpack(first))):
-        witness = stop
-        done = sum(1 for w in taken if X_ORDER.key(packer.unpack(w)) > X_ORDER.key(stop))
-    else:
-        if halt is not None and halt[0] == first:
-            raise InternalInconsistencyError(f"zero image for {halt[1]!r}")
-        witness = packer.unpack(first)
-        done = bisect.bisect_left(taken, first)
+    first = min(pos.items() ^ neg.items())[0]
+    if halt is not None and halt[0] == first:
+        raise InternalInconsistencyError(f"zero image for {halt[1]!r}")
+    done = bisect.bisect_left(taken, first)
     g = {w: c for w in pos.keys() | neg.keys() if (c := pos.get(w, 0) - neg.get(w, 0))}
     for (u, v), step in steps[done:]:
         _add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), step)
-    remainder = Polynomial({packer.unpack(w): c for w, c in g.items()}) + rest
-    return SubductionTrace(steps[:done], remainder, witness=witness)
+    unpack = x_packer(ctx).unpack
+    remainder = Polynomial({unpack(w): c for w, c in g.items()})
+    return SubductionTrace(steps[:done], remainder, witness=unpack(first))
 
 
 def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Quadric:

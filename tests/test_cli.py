@@ -329,6 +329,15 @@ def test_empty_skew_exits_1(capsys):
     assert "bad lattice variable ''" in capsys.readouterr().err
 
 
+def test_degree_refuses_a_reversed_interval(capsys):
+    # as poset list, poset pairs and groebner do
+    code, out = run_cli(
+        "--p", "3", "--m", "3", "--n", "1", "--q", "3", "degree", "--interval", "356^2", "124^0"
+    )
+    assert (code, out) == (1, "")
+    assert "invalid interval" in capsys.readouterr().err
+
+
 def test_n_defaults_from_q():
     # q without n: entry degree defaults to ceil(q/p)
     code, out = run_cli("--p", "2", "--m", "2", "--q", "3", "sagbi-check")
@@ -378,20 +387,6 @@ def test_obvious_rank_report_3313():
     code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "--q", "3", "obvious", "--rank")
     assert code == 0
     assert out == '{"generators":245,"rank":245,"kernel_dim":250,"deficit":5}\n'
-
-
-@pytest.fixture
-def raw_images(monkeypatch):
-    """Subduct on the unmasked generator images.
-
-    Below q = n*p the raw images generate a larger ring, so some
-    incomparable products leave a remainder (see interval_mask).  The
-    table cache is cleared on both sides so no masked table leaks in or out.
-    """
-    monkeypatch.setattr(straighten, "interval_mask", lambda ctx, interval: maps.EMPTY_MASK)
-    straighten._subduction_table.cache_clear()
-    yield
-    straighten._subduction_table.cache_clear()
 
 
 def test_sagbi_check_reports_failure(raw_images):

@@ -205,6 +205,11 @@ def test_interval_chain_count_matches_rank_length():
         count_maximal_chains(C331, (u, v))
 
 
+def test_chain_count_refuses_a_reversed_interval():
+    with pytest.raises(InvalidInputError, match="invalid interval"):
+        count_maximal_chains(C331, (parse_var("356^2"), parse_var("124^0")))
+
+
 def test_rank():
     assert rank(bottom(C331), C331) == 0
     assert rank(PluckerVar((2, 3, 5), 2), Context(3, 4, 1, 2)) == 18

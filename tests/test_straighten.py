@@ -131,16 +131,14 @@ def test_factor_initial_level_budget(ctx333):
 
 def test_subduct_comparable_single_step(ctx333):
     u, v = parse_var("146^1"), parse_var("235^2")
-    f = maps.phi(u, ctx333) * maps.phi(v, ctx333)
-    trace = subduct(f, ctx333)
+    trace = subduct((u, v), ctx333)
     assert trace.remainder.is_zero()
     assert trace.steps == [((u, v), 1)]
 
 
 def test_subduct_thirty_term_relation_steps(ctx333):
     g, d = parse_var("156^1"), parse_var("234^2")
-    f = maps.phi(g, ctx333) * maps.phi(d, ctx333)
-    trace = subduct(f, ctx333)
+    trace = subduct((g, d), ctx333)
     assert trace.remainder.is_zero()
     assert len(trace.steps) == 29
     assert trace.steps[0] == ((parse_var("146^1"), parse_var("235^2")), 1)
@@ -149,24 +147,11 @@ def test_subduct_thirty_term_relation_steps(ctx333):
 
 def test_subduct_replay(ctx333):
     g, d = parse_var("145^1"), parse_var("236^3")
-    f = maps.phi(g, ctx333) * maps.phi(d, ctx333)
-    trace = subduct(f, ctx333)
-    replay = f
+    trace = subduct((g, d), ctx333)
+    replay = maps.phi(g, ctx333) * maps.phi(d, ctx333)
     for (u, v), c in trace.steps:
         replay = replay - c * (maps.phi(u, ctx333) * maps.phi(v, ctx333))
     assert replay == trace.remainder
-
-
-def test_subduct_rejects_wrong_degree(ctx333):
-    with pytest.raises(InvalidInputError):
-        subduct(maps.phi(parse_var("123^0"), ctx333), ctx333)
-
-
-def test_subduct_witness(ctx333):
-    f = Polynomial.term(mono_from_pairs([(polyring.XVar(1, 1, 0), 6)]), 1)
-    trace = subduct(f, ctx333)
-    assert not trace.remainder.is_zero()
-    assert trace.witness is not None
 
 
 # the guards of subduct and _quadric, each made to fire on the 29-step
