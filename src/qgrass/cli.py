@@ -3,8 +3,8 @@
 Identical invocations produce identical bytes: the canonical term orders
 and the canonical linear extension fix every output, and no timestamps or
 environment lookups are involved.  Exit codes: 0 on success, 1 on usage
-errors, 2 on mathematical failure (nonzero subduction remainder or an
-inconsistent solve).
+errors, 2 on mathematical failure (nonzero subduction remainder or a
+lifted syzygy without its requested initial form).
 """
 
 from __future__ import annotations

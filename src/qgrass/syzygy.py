@@ -42,24 +42,32 @@ def sort_signed(cols: tuple[int, ...], shift: int) -> tuple[int, Optional[Plucke
     return lattice.sort_sign(cols), PluckerVar(tuple(sorted(cols)), shift)
 
 
-def _violation_index(u: PluckerVar, v: PluckerVar) -> Optional[int]:
-    """Smallest 1-based i with v.cols[i] below its upper neighbor u.cols[i-d]."""
+def _violation_index(u: PluckerVar, v: PluckerVar) -> int:
+    """Smallest 1-based i with v.cols[i] below its upper neighbor u.cols[i-d].
+
+    u must not lie below v in the order, and v's shift must be at least
+    u's: then d < p and some column breaks the interlacing, so i exists.
+    """
     d = v.shift - u.shift
-    for i in range(d + 1, len(v.cols) + 1):
-        if v.cols[i - 1] < u.cols[i - d - 1]:
-            return i
-    return None
+    return next(
+        i for i in range(d + 1, len(v.cols) + 1) if v.cols[i - 1] < u.cols[i - d - 1]
+    )
 
 
 def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
     """Quadratic syzygy of the row-consecutive minors attached to a
     non-standard two-row tableau.
 
-    With the first violating column at index i, the head of the upper row
-    and the tail of the lower row are frozen and the remaining p+b-a+1
-    entries are redistributed over both rows in all ways, each summand
-    signed by its block shuffle and by the reordering signs of its rows.
-    The tableau itself appears with coefficient +1 and is the leading term.
+    The rows must be incomparable, the upper one with the weakly smaller
+    shift; a comparable pair, in either order, is refused.  With the first
+    violating column at index i, the head of the upper row and the tail of
+    the lower row are frozen and the remaining p+b-a+1 entries, an
+    increasing pool, are redistributed over both rows in all ways, each
+    summand signed by its block shuffle and by the reordering signs of its
+    rows.  The tableau itself appears with coefficient +1: only the
+    identity split gives it.  With the rows in canonical order, as
+    incomparable_pairs lists them, it is the leading term; in the other
+    order of two equal shifts it need not be.
     """
     if len(t) != 2:
         raise InvalidInputError("expected a two-row tableau")
@@ -70,16 +78,14 @@ def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
         raise InvalidInputError("rows must have weakly increasing shifts")
     if lattice.leq(u, v):
         raise InvalidInputError("tableau is standard")
+    if lattice.leq(v, u):
+        raise InvalidInputError("tableau rows are comparable")
     a, b = u.shift, v.shift
     d = b - a
     i = _violation_index(u, v)
-    if i is None:
-        raise InternalInconsistencyError("non-standard tableau without a violation")
     head = u.cols[: i - d - 1]
     tail = v.cols[i:]
     pool = v.cols[:i] + u.cols[i - d - 1 :]
-    if any(pool[k] >= pool[k + 1] for k in range(len(pool) - 1)):
-        raise InternalInconsistencyError("redistribution pool is not increasing")
     acc: dict = {}
     for picked in itertools.combinations(range(len(pool)), i):
         rest = tuple(k for k in range(len(pool)) if k not in picked)
@@ -92,50 +98,30 @@ def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
             continue
         mono = polyring.mono_from_pairs([(upper, 1), (lower, 1)])
         acc[mono] = acc.get(mono, 0) + sign * s1 * s2
-    out = Polynomial(acc)
-    t_mono = polyring.mono_from_pairs([(u, 1), (v, 1)])
-    if out.coefficient(t_mono) != 1:
-        raise InternalInconsistencyError("tableau term does not carry coefficient 1")
-    return out
+    return Polynomial(acc)
 
 
 def quantum_syzygy_v(t: lattice.Tableau, ctx: Context) -> Polynomial:
     """Unique lift of the skew syzygy whose shift-weight initial form it is.
 
-    Solved exactly as a combination of straightening relations over the
-    incomparable pairs of matching weight; the initial forms of those
-    relations are linearly independent, so the combination is unique.
+    Read off the reduced quadrics: each incomparable monomial g*d of the
+    skew syzygy w contributes its coefficient times the straightening
+    relation Q(g, d).  This is exact because the basis is reduced: g*d is
+    the only non-standard monomial of Q(g, d) and appears in no other
+    quadric, so any combination of quadrics with initial form w carries
+    w's coefficient of g*d on Q(g, d).  That combination is the only one:
+    every later term of Q(g, d) has shifts no more balanced than g*d, so
+    its initial form holds g*d, which no other initial form holds.
     """
-    w_target = skew_syzygy_w(t, ctx)
-    u, v = t
-    level = shift_weight(u) + shift_weight(v)
-    pairs = [
-        (g, d)
-        for g, d in lattice.incomparable_pairs(ctx)
-        if shift_weight(g) + shift_weight(d) == level
-    ]
-    relations = [straighten.straightening_relation(g, d, ctx) for g, d in pairs]
-    initial_rows = [
-        dict(polyring.initial_form(rel.poly, shift_weight).terms) for rel in relations
-    ]
-    combo = linalg.solve_in_span(
-        dict(w_target.terms), initial_rows, polyring.c_order(ctx).key
-    )
-    if combo is None:
-        raise InternalInconsistencyError("skew syzygy is not a combination of initial forms")
+    w = skew_syzygy_w(t, ctx)
     out = Polynomial.zero()
-    for idx, c in combo.items():
-        out = out + relations[idx].poly.scale(c)
-    if polyring.initial_form(out, shift_weight) != w_target:
+    for mono, c in w.terms.items():
+        pair = tuple(var for var, _ in mono)  # one factor for a square
+        if len(pair) == 2 and lattice.incomparable(*pair):
+            out = out + straighten.straightening_relation(*pair, ctx).poly.scale(c)
+    if polyring.initial_form(out, shift_weight) != w:
         raise InternalInconsistencyError("lift does not have the requested initial form")
     return out
-
-
-def non_standard_tableaux(ctx: Context) -> list[lattice.Tableau]:
-    """Canonical two-row non-standard tableaux: one per incomparable pair,
-    rows in canonical linear-extension order (shifts weakly increase), as
-    incomparable_pairs lists them."""
-    return lattice.incomparable_pairs(ctx)
 
 
 def coefficient_relations(ctx: Context) -> list[Polynomial]:

@@ -28,7 +28,6 @@ from qgrass.straighten import (
 )
 from qgrass.syzygy import (
     coefficient_relation_report,
-    non_standard_tableaux,
     quantum_syzygy_v,
     shift_weight,
     skew_syzygy_w,
@@ -195,7 +194,7 @@ def test_criterion_08_pi_and_identities(ctx333):
 
 def test_criterion_09_syzygy_layer(ctx333):
     corder = polyring.c_order(ctx333)
-    for t in non_standard_tableaux(ctx333):
+    for t in incomparable_pairs(ctx333):
         w = skew_syzygy_w(t, ctx333)
         assert corder.leading_term(w) == (1, pair_mono(*t)), t
         image = polyring.substitute(w, lambda u: maps.chi(u, ctx333))

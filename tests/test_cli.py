@@ -207,7 +207,7 @@ def test_syzygy_w_stdout_sha256():
 
 
 def test_all_skew_syzygies_3313_sha256(ctx333):
-    tableaux = syzygy.non_standard_tableaux(ctx333)
+    tableaux = lattice.incomparable_pairs(ctx333)
     assert len(tableaux) == 250
     out = "".join(
         polyring.emit_text(syzygy.skew_syzygy_w(t, ctx333), "C", ctx333, compact=True) + "\n"
@@ -215,6 +215,26 @@ def test_all_skew_syzygies_3313_sha256(ctx333):
     )
     digest = "8cc4c258a64b7d8b8af6d1b1f0fa0c5134a27d2a88223cc4298f99cd633ebb15"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_all_lifted_syzygies_3313_sha256(ctx333):
+    tableaux = lattice.incomparable_pairs(ctx333)
+    assert len(tableaux) == 250
+    out = "".join(
+        polyring.emit_text(syzygy.quantum_syzygy_v(t, ctx333), "C", ctx333, compact=True)
+        + "\n"
+        for t in tableaux
+    )
+    digest = "c0dbbd4b01a89cf4f612e7044c6729df692ae182a258d2da18f8a78665b96690"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["w", "v"])
+@pytest.mark.parametrize("rows", [("124^0", "123^0"), ("135^0", "124^0")])
+def test_syzygy_refuses_comparable_rows(kind, rows):
+    code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "syzygy", kind, *rows)
+    assert code == 1
+    assert out == ""
 
 
 def test_obvious_rank_report():

@@ -1,13 +1,15 @@
+import io
+import itertools
+
 import pytest
 
-from qgrass.errors import InvalidInputError
+from qgrass.errors import InternalInconsistencyError, InvalidInputError
 from qgrass.lattice import Context, PluckerVar, incomparable_pairs, parse_var
-from qgrass import lattice, maps, polyring, straighten, syzygy
+from qgrass import cli, lattice, linalg, maps, polyring, straighten, syzygy
 from qgrass.polyring import Polynomial, emit_text, initial_form, mono_from_pairs
 from qgrass.syzygy import (
     coefficient_relation_report,
     coefficient_relations,
-    non_standard_tableaux,
     quantum_syzygy_v,
     rank_of_span,
     shift_weight,
@@ -23,6 +25,46 @@ def pair_mono(u, v):
 
 def chi_image(f, ctx):
     return polyring.substitute(f, lambda u: maps.chi(u, ctx))
+
+
+def accepted_row_orders(ctx):
+    """Every row order skew_syzygy_w accepts: incomparable rows, the upper
+    one with the weakly smaller shift.  An incomparable pair of equal
+    shifts gives two orders, any other pair one."""
+    return [
+        (u, v)
+        for u, v in itertools.permutations(lattice.elements(ctx), 2)
+        if u.shift <= v.shift and lattice.incomparable(u, v)
+    ]
+
+
+def solve_based_lift(t, ctx):
+    """Reference for quantum_syzygy_v: straighten every incomparable pair
+    at the tableau's weight level and solve for the skew syzygy in the span
+    of their initial forms, which are linearly independent."""
+    w_target = skew_syzygy_w(t, ctx)
+    u, v = t
+    level = shift_weight(u) + shift_weight(v)
+    pairs = [
+        (g, d)
+        for g, d in lattice.incomparable_pairs(ctx)
+        if shift_weight(g) + shift_weight(d) == level
+    ]
+    relations = [straighten.straightening_relation(g, d, ctx) for g, d in pairs]
+    initial_rows = [
+        dict(polyring.initial_form(rel.poly, shift_weight).terms) for rel in relations
+    ]
+    combo = linalg.solve_in_span(
+        dict(w_target.terms), initial_rows, polyring.c_order(ctx).key
+    )
+    if combo is None:
+        raise InternalInconsistencyError("skew syzygy is not a combination of initial forms")
+    out = Polynomial.zero()
+    for idx, c in combo.items():
+        out = out + relations[idx].poly.scale(c)
+    if polyring.initial_form(out, shift_weight) != w_target:
+        raise InternalInconsistencyError("lift does not have the requested initial form")
+    return out
 
 
 def test_sort_signed():
@@ -77,25 +119,40 @@ def test_skew_syzygy_classical_plucker():
 
 
 def test_skew_syzygy_rejects_standard(ctx333):
-    with pytest.raises(InvalidInputError):
-        skew_syzygy_w((parse_var("146^1"), parse_var("235^2")), ctx333)
-    with pytest.raises(InvalidInputError):
-        skew_syzygy_w((parse_var("234^2"), parse_var("156^1")), ctx333)
+    for rows in [
+        ("146^1", "235^2"),
+        ("234^2", "156^1"),
+        # equal shifts, the lower row below the upper one
+        ("124^0", "123^0"),
+        ("135^0", "124^0"),
+    ]:
+        with pytest.raises(InvalidInputError):
+            skew_syzygy_w(tuple(map(parse_var, rows)), ctx333)
 
 
 def test_skew_syzygy_lead_and_kernel_exhaustive(ctx333):
     corder = polyring.c_order(ctx333)
-    tableaux = non_standard_tableaux(ctx333)
-    assert len(tableaux) == len(incomparable_pairs(ctx333))
+    canonical = set(incomparable_pairs(ctx333))
+    tableaux = accepted_row_orders(ctx333)
+    assert len(canonical) == 250
+    assert len(tableaux) == 390
     leads = set()
+    other_leads = []
     for t in tableaux:
         w = skew_syzygy_w(t, ctx333)
-        coeff, m = corder.leading_term(w)
-        assert coeff == 1
-        assert m == pair_mono(*t)
-        leads.add(m)
+        assert w.coefficient(pair_mono(*t)) == 1
         assert chi_image(w, ctx333).is_zero()
-    assert leads == {pair_mono(u, v) for u, v in incomparable_pairs(ctx333)}
+        lead = corder.leading_term(w)
+        if t in canonical:
+            assert lead == (1, pair_mono(*t))
+            leads.add(lead[1])
+        elif lead[1] != pair_mono(*t):
+            other_leads.append(t)
+    assert leads == {pair_mono(u, v) for u, v in canonical}
+    # in the non-canonical order of two equal shifts the syzygy is a
+    # different one, and 12 of those 140 lead with another monomial
+    assert len(other_leads) == 12
+    assert all(u.shift == v.shift for u, v in other_leads)
 
 
 def test_quantum_syzygy_v_matches_straightening(ctx333):
@@ -107,7 +164,7 @@ def test_quantum_syzygy_v_matches_straightening(ctx333):
 
 
 def test_quantum_syzygy_v_properties(ctx333):
-    sample = non_standard_tableaux(ctx333)[::41]
+    sample = incomparable_pairs(ctx333)[::41]
     for t in sample:
         v = quantum_syzygy_v(t, ctx333)
         assert maps.apply_hom(v, ctx333).is_zero()
@@ -165,3 +222,101 @@ def test_rank_of_span_duplicates(ctx333):
     u, v = parse_var("156^1"), parse_var("234^2")
     f = Polynomial({pair_mono(u, v): 1})
     assert rank_of_span([f, f, f.scale(3)], ctx333) == 1
+
+
+@pytest.mark.parametrize("params", [(2, 3, 1, 2), (3, 3, 1, 1)])
+def test_lift_matches_solve_based_reference(params):
+    ctx = Context(*params)
+    tableaux = accepted_row_orders(ctx)
+    assert tableaux
+    for t in tableaux:
+        v = quantum_syzygy_v(t, ctx)
+        ref = solve_based_lift(t, ctx)
+        assert v == ref, t
+        assert {m: type(c) for m, c in v.terms.items()} == {
+            m: type(c) for m, c in ref.terms.items()
+        }, t
+
+
+def test_lift_check_fires_on_a_flipped_relation(monkeypatch, ctx333):
+    real = straighten.straightening_relation
+
+    def flipped(gamma, delta, ctx, interval=None):
+        quad = real(gamma, delta, ctx, interval)
+        terms = dict(quad.poly.terms)
+        lead = pair_mono(gamma, delta)
+        terms[lead] = -terms[lead]
+        return quad._replace(poly=Polynomial(terms))
+
+    monkeypatch.setattr(straighten, "straightening_relation", flipped)
+    t = (parse_var("156^1"), parse_var("234^2"))
+    with pytest.raises(InternalInconsistencyError, match="initial form"):
+        quantum_syzygy_v(t, ctx333)
+    out = io.StringIO()
+    argv = ["--p", "3", "--m", "3", "--n", "1", "syzygy", "v", "156^1", "234^2"]
+    assert cli.run(argv, out=out) == 2
+    assert out.getvalue() == ""
+
+
+# -- classical Plücker relations: a reference that uses no image -------------
+
+
+def plucker_relations(p, m):
+    """The quadratic Plücker relations of Gr(p, m+p), built from sign rules
+    alone: for I of size p-1 and J of size p+1,
+    sum_k (-1)^k [I, j_k] [J - j_k] = 0, where [I, j_k] is the sorted
+    column set times the sign of sorting I + (j_k,) (zero if j_k is in I)."""
+    cols = range(1, m + p + 1)
+    out = []
+    for small in itertools.combinations(cols, p - 1):
+        for big in itertools.combinations(cols, p + 1):
+            terms: dict = {}
+            for k, j in enumerate(big):
+                if j in small:
+                    continue
+                x = PluckerVar(tuple(sorted(small + (j,))), 0)
+                y = PluckerVar(big[:k] + big[k + 1 :], 0)
+                c = (-1) ** k * lattice.sort_sign(small + (j,))
+                terms[pair_mono(x, y)] = terms.get(pair_mono(x, y), 0) + c
+            f = Polynomial(terms)
+            if f:
+                out.append(f)
+    return out
+
+
+def lift_through_series(f, ctx):
+    """The t-coefficients of a classical quadric f evaluated at the series
+    g_alpha(t) = sum_a alpha^a t^a, for a up to q."""
+    graded: dict = {}
+    for mono, c in f.terms.items():
+        x, y = [var for var, e in mono for _ in range(e)]
+        for cx, cy in itertools.product(range(ctx.q + 1), repeat=2):
+            layer = graded.setdefault(cx + cy, {})
+            lifted = pair_mono(PluckerVar(x.cols, cx), PluckerVar(y.cols, cy))
+            layer[lifted] = layer.get(lifted, 0) + c
+    return [Polynomial(layer) for _, layer in sorted(graded.items())]
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4)]
+)
+def test_plucker_relations_span_the_classical_quadrics(p, m):
+    ctx = Context(p, m, 0, 0)
+    plucker = plucker_relations(p, m)
+    quadrics = [quad.poly for quad in straighten.reduced_groebner(ctx)]
+    pairs = len(incomparable_pairs(ctx))
+    assert rank_of_span(plucker, ctx) == pairs
+    assert rank_of_span(quadrics, ctx) == pairs
+    assert rank_of_span(plucker + quadrics, ctx) == pairs
+
+
+@pytest.mark.parametrize(
+    "params,rank", [((2, 3, 1, 2), 25), ((3, 3, 1, 1), 105), ((3, 3, 1, 2), 175)]
+)
+def test_lifted_plucker_relations_span_the_coefficient_relations(params, rank):
+    ctx = Context(*params)
+    lifted = [g for f in plucker_relations(ctx.p, ctx.m) for g in lift_through_series(f, ctx)]
+    inherited = coefficient_relations(ctx)
+    assert rank_of_span(lifted, ctx) == rank
+    assert rank_of_span(inherited, ctx) == rank
+    assert rank_of_span(lifted + inherited, ctx) == rank
