@@ -123,9 +123,6 @@ def standard_monomials(
     return out
 
 
-PackedPoly = list[tuple[int, polyring.Coeff]]
-
-
 @functools.lru_cache(maxsize=None)
 def x_packer(ctx: Context) -> Packer:
     """The X_ORDER packer of a context's matrix variables x[i,j,l].
@@ -197,59 +194,44 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
     return SubductionTable(interval_mask(ctx, interval), lead_pairs, by_md)
 
 
-@functools.lru_cache(maxsize=None)
-def packed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> PackedPoly:
-    """The masked generator image of u as (x_packer int, coefficient) terms,
-    leading term (the smallest int) first; a subduction table and the
-    oracle with equal masks share it.
-
-    A nonzero image must lead with coefficient 1 or -1, so that every
-    subduction step is the product of integers; any other lead is an
-    internal error.
-    """
-    pack = x_packer(ctx).pack
-    poly = maps.generator_image(u, ctx, mask)
-    image = sorted((pack(m), c) for m, c in poly.terms.items())
-    if image and image[0][1] not in (1, -1):
-        raise InternalInconsistencyError(
-            f"image of {u!r} leads with coefficient {image[0][1]}, not 1 or -1"
-        )
-    return image
-
-
-def _add_product(g: dict, a: PackedPoly, b: PackedPoly, factor) -> None:
-    """g += factor * a * b on packed terms, dropping cancelled monomials."""
-    for wa, ca in a:
-        fa = factor * ca
-        for wb, cb in b:
-            w = wa + wb
-            s = g.get(w, 0) + fa * cb
-            if s:
-                g[w] = s
-            else:
-                del g[w]
-
-
 SignedImage = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=None)
 def signed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> SignedImage:
-    """packed_image(u, ctx, mask) split by sign: the ints of its positive
-    terms and those of its negative terms, each repeated |coefficient|
-    times.  An image is a minor, so each of its monomials is the product of
-    one permutation's entries and every coefficient is 1 or -1.
+    """The masked generator image of u on x_packer ints, split by sign: the
+    ascending ints of its positive terms and those of its negative terms.
+    A subduction table and the oracle with equal masks share it.
+
+    An image is a minor: each of its monomials is the product of one
+    permutation's entries, which the monomial determines (see
+    maps.generator_image), so no two terms merge and every coefficient is
+    the permutation's sign.  Any other coefficient, on any term, is an
+    internal error; so every subduction step is a product of integers.
     """
-    image = packed_image(u, ctx, mask)
-    return (
-        tuple(w for w, c in image if c > 0 for _ in range(c)),
-        tuple(w for w, c in image if c < 0 for _ in range(-c)),
-    )
+    pack = x_packer(ctx).pack
+    signed: dict = {1: [], -1: []}
+    for m, c in maps.generator_image(u, ctx, mask).terms.items():
+        if c not in signed:
+            raise InternalInconsistencyError(f"image of {u!r} has a coefficient {c}, not 1 or -1")
+        signed[c].append(pack(m))
+    return tuple(sorted(signed[1])), tuple(sorted(signed[-1]))
+
+
+def _lead(image: SignedImage) -> Optional[tuple[int, int]]:
+    """The leading term (smallest int, coefficient 1 or -1) of a signed
+    image, or None for the zero image."""
+    pos, neg = image
+    if pos and not (neg and neg[0] < pos[0]):
+        return pos[0], 1
+    if neg:
+        return neg[0], -1
+    return None
 
 
 def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> None:
     """pos - neg += c * a * b, where pos and neg count the positive and the
-    negative terms of a packed polynomial.
+    negative terms of a packed polynomial, which _net reads off them.
 
     The product's positive terms are the sums of same-sign terms of a and
     b, its negative terms those of opposite signs.  With |c| == 1 they are
@@ -273,6 +255,18 @@ def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> N
         else:
             for w in terms:
                 counts[w] = counts.get(w, 0) + c
+
+
+def _net(pos: dict, neg: dict) -> dict:
+    """pos - neg as one dict int -> nonzero coefficient, folded into pos
+    (a count is never stored at zero: counts only grow)."""
+    for w, c in neg.items():
+        c = pos.get(w, 0) - c
+        if c:
+            pos[w] = c
+        else:
+            del pos[w]
+    return pos
 
 
 def factor_initial(
@@ -316,13 +310,13 @@ def subduct(
 
     g is kept on x_packer ints (see Packer): all its terms have degree 2p,
     so the leading term is the smallest int.  It is two counts, pos and
-    neg, of its positive and negative terms, and each product is counted
-    into them in C (_count_product).  The candidates are the table's leads
-    of the pair's multidegree, which every term of g stays in.  The walk
-    visits them in ascending order, from the first at or above the
-    product's lead, and takes one step at each whose net count pos - neg
-    is nonzero.  A step's image product must lead at its candidate
-    (checked), so the step cancels it.
+    neg, of its positive and negative terms, and each product of signed
+    images is counted into them in C (_count_product).  The candidates are
+    the table's leads of the pair's multidegree, which every term of g
+    stays in.  The walk visits them in ascending order, from the first at
+    or above the product's lead, and takes one step at each whose net count
+    pos - neg is nonzero.  A step's image product must lead at its
+    candidate (checked on the images' _lead), so the step cancels it.
 
     Why the steps are the loop's: a step's product has no term below its
     candidate, so a key the walk has passed never changes again.  If g ends
@@ -331,9 +325,9 @@ def subduct(
     the loop stops at the smallest key whose final counts differ, which is
     no candidate (a visited candidate ends at zero): the trace is the
     walk's steps before it, and the remainder is g at that point, the
-    final g plus the products of the later steps.  A zero image at a
-    candidate ends the walk; it is an internal error only when that
-    candidate is the stop, where the loop would meet it.
+    final g plus the products of the later steps, counted back in.  A zero
+    image at a candidate ends the walk; it is an internal error only when
+    that candidate is the stop, where the loop would meet it.
 
     There is no step budget: the walk visits each of the len(leads[md])
     candidates at most once, so it cannot take more steps than that.
@@ -355,16 +349,17 @@ def subduct(
         if not net:
             continue
         u, v = table.lead_pairs[lead]
-        image_u, image_v = packed_image(u, ctx, mask), packed_image(v, ctx, mask)
-        if not (image_u and image_v):
-            halt = lead, v if image_u else u
+        image_u, image_v = signed_image(u, ctx, mask), signed_image(v, ctx, mask)
+        lead_u, lead_v = _lead(image_u), _lead(image_v)
+        if not (lead_u and lead_v):
+            halt = lead, v if lead_u else u
             break
-        if image_u[0][0] + image_v[0][0] != lead:
+        if lead_u[0] + lead_v[0] != lead:
             raise InternalInconsistencyError(
                 f"the images of {u!r} and {v!r} do not lead at their standard monomial"
             )
-        step = net * image_u[0][1] * image_v[0][1]
-        _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), -step)
+        step = net * lead_u[1] * lead_v[1]
+        _count_product(pos, neg, image_u, image_v, -step)
         steps.append(((u, v), step))
         taken.append(lead)
 
@@ -374,11 +369,10 @@ def subduct(
     if halt is not None and halt[0] == first:
         raise InternalInconsistencyError(f"zero image for {halt[1]!r}")
     done = bisect.bisect_left(taken, first)
-    g = {w: c for w in pos.keys() | neg.keys() if (c := pos.get(w, 0) - neg.get(w, 0))}
     for (u, v), step in steps[done:]:
-        _add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), step)
+        _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), step)
     unpack = x_packer(ctx).unpack
-    remainder = Polynomial({unpack(w): c for w, c in g.items()})
+    remainder = Polynomial({unpack(w): c for w, c in _net(pos, neg).items()})
     return SubductionTrace(steps[:done], remainder, witness=unpack(first))
 
 
@@ -503,20 +497,21 @@ def kernel_quadrics_oracle(
     All products of two generator images are expanded and the relations
     among them solved exactly, grouped by the (column multiset, shift sum)
     multidegree under which the kernel splits (the diagonal blocks of a
-    Macaulay matrix).  The images are packed_image under the interval_mask,
-    and each product is a dict x_packer int -> coefficient built by
-    _add_product; all products in a group have degree 2p, where int order
-    is the reverse of degrevlex, so -w is the column key of int w.  No
-    subduction table is built (so psi is never called) and subduct is never
-    called, so the oracle stays independent of subduction.  One nullspace
-    per group is its only elimination and already the reduced row-echelon
-    basis: a group's pairs come in canonical i <= j order, which ascends in
-    c_order (on degree-2 words degrevlex is lexicographic on linear keys),
-    each vector has 1 at its own pair, its largest, which no other vector
-    holds, and groups have disjoint supports.
+    Macaulay matrix).  The images are signed_image under the
+    interval_mask, and each product is counted by _count_product, as in
+    subduction, and read off by _net as a dict x_packer int -> coefficient;
+    all products in a group have degree 2p, where int order is the reverse
+    of degrevlex, so -w is the column key of int w.  No subduction table is
+    built (so psi is never called) and subduct is never called, so the
+    oracle stays independent of subduction.  One nullspace per group is its
+    only elimination and already the reduced row-echelon basis: a group's
+    pairs come in canonical i <= j order, which ascends in c_order (on
+    degree-2 words degrevlex is lexicographic on linear keys), each vector
+    has 1 at its own pair, its largest, which no other vector holds, and
+    groups have disjoint supports.
 
-    Only groups whose product leads collide are eliminated.  An image is
-    sorted, so its lead is its smallest int, and products add ints with no
+    Only groups whose product leads collide are eliminated.  An image's
+    lead is its smallest int (_lead), and products add ints with no
     carry: the lead of a product of nonzero images is the sum of their
     leads, reached by the two leading terms alone, with coefficient
     (+-1)(+-1) != 0.  If those leads are pairwise distinct in a group, take
@@ -532,7 +527,7 @@ def kernel_quadrics_oracle(
     groups: dict[tuple, list[tuple[PluckerVar, PluckerVar]]] = {}
     for u, v in itertools.combinations_with_replacement(elems, 2):
         groups.setdefault(_multidegree(u, v), []).append((u, v))
-    leads = {u: image[0][0] for u in elems if (image := packed_image(u, ctx, mask))}
+    leads = {u: lead[0] for u in elems if (lead := _lead(signed_image(u, ctx, mask)))}
     relations: dict[Mono, Polynomial] = {}
     for pairs in groups.values():
         # a pair with a zero image has no lead, so its group is never skipped
@@ -540,9 +535,10 @@ def kernel_quadrics_oracle(
             continue
         rows = []
         for u, v in pairs:
-            row: dict = {}
-            _add_product(row, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
-            rows.append(row)
+            pos: dict = {}
+            neg: dict = {}
+            _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
+            rows.append(_net(pos, neg))
         for combo in linalg.nullspace(rows, operator.neg):
             relations[_pair_mono(*pairs[max(combo)])] = Polynomial(
                 {_pair_mono(*pairs[i]): c for i, c in combo.items()}

@@ -58,28 +58,30 @@ def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
     """Quadratic syzygy of the row-consecutive minors attached to a
     non-standard two-row tableau.
 
-    The rows must be incomparable, the upper one with the weakly smaller
-    shift; a comparable pair, in either order, is refused.  With the first
-    violating column at index i, the head of the upper row and the tail of
-    the lower row are frozen and the remaining p+b-a+1 entries, an
-    increasing pool, are redistributed over both rows in all ways, each
-    summand signed by its block shuffle and by the reordering signs of its
-    rows.  The tableau itself appears with coefficient +1: only the
-    identity split gives it.  With the rows in canonical order, as
-    incomparable_pairs lists them, it is the leading term; in the other
-    order of two equal shifts it need not be.
+    The rows must be incomparable and in canonical order, the order that
+    incomparable_pairs lists: the upper row first in linear_key, so its
+    shift is weakly smaller.  That one check refuses the other order of two
+    equal shifts and an upper row above the lower one: a strictly lower
+    element has a weakly smaller shift and a strictly smaller rank, so a
+    smaller linear_key.  An upper row below the lower one (a standard
+    tableau) is refused too.
+
+    With the first violating column at index i, the head of the upper row
+    and the tail of the lower row are frozen and the remaining p+b-a+1
+    entries, an increasing pool, are redistributed over both rows in all
+    ways, each summand signed by its block shuffle and by the reordering
+    signs of its rows.  The tableau itself is the leading term, with
+    coefficient +1: only the identity split gives it.
     """
     if len(t) != 2:
         raise InvalidInputError("expected a two-row tableau")
     u, v = t
     lattice.validate_var(u, ctx)
     lattice.validate_var(v, ctx)
-    if u.shift > v.shift:
-        raise InvalidInputError("rows must have weakly increasing shifts")
+    if not lattice.linear_key(u, ctx) < lattice.linear_key(v, ctx):
+        raise InvalidInputError("rows must be in canonical order")
     if lattice.leq(u, v):
         raise InvalidInputError("tableau is standard")
-    if lattice.leq(v, u):
-        raise InvalidInputError("tableau rows are comparable")
     a, b = u.shift, v.shift
     d = b - a
     i = _violation_index(u, v)

@@ -24,13 +24,12 @@ def gb333(ctx333):
 
 
 def clear_image_caches():
-    straighten.packed_image.cache_clear()
     straighten.signed_image.cache_clear()
 
 
 @pytest.fixture
 def fresh_images():
-    """Clear the packed image caches before and after the test, so an image
+    """Clear the signed image cache before and after the test, so an image
     built under a patch neither meets a cached one nor outlives it."""
     clear_image_caches()
     yield

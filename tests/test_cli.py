@@ -230,8 +230,9 @@ def test_all_lifted_syzygies_3313_sha256(ctx333):
 
 
 @pytest.mark.parametrize("kind", ["w", "v"])
-@pytest.mark.parametrize("rows", [("124^0", "123^0"), ("135^0", "124^0")])
-def test_syzygy_refuses_comparable_rows(kind, rows):
+@pytest.mark.parametrize("rows", [("124^0", "123^0"), ("135^0", "124^0"), ("245^0", "136^0")])
+def test_syzygy_refuses_non_canonical_rows(kind, rows):
+    # comparable rows, then an incomparable pair of equal shifts reversed
     code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "syzygy", kind, *rows)
     assert code == 1
     assert out == ""

@@ -13,14 +13,19 @@ replaced, kept here as the reference.
 - subduct walks the candidate leads of a pair's multidegree on two counts
   of int-packed terms (x_packer); one reference is the running-minimum
   loop on a dict of packed terms that it replaced, taking min(g) at each
-  step, and the other is that loop on the Polynomial product of the pair's
+  step, with the sorted (int, coefficient) images of packed_image and the
+  Python product loop add_product below, and the other is that loop on the
+  Polynomial product of the pair's
   images, ranking every term by X_ORDER.leading_term at each step and
   dividing by the image leads in Fractions.  Both keep the step budget the
   walk no longer needs.  On the unmasked images below q = n*p real runs
   fail, and all three give the same witness and remainder.
 - Packer: integer order against TermOrder.compare, and integer addition
   against mono_mul.
-- kernel_quadrics_oracle builds its rows from the same packed image
+- _count_product, the one product kernel, counts a product of two
+  signed_image into positive and negative counts; the reference is the
+  Polynomial product.
+- kernel_quadrics_oracle builds its rows from the same counted image
   products, eliminates only the groups whose product leads collide and
   reads the reduced basis off their nullspaces; the reference multiplies
   the generator images as Polynomials, eliminates every group and reduces
@@ -53,13 +58,14 @@ from qgrass.lattice import Context, YoungSeq, elements, incomparable_pairs, pars
 from qgrass.polyring import Polynomial, X_ORDER, XVar, c_order, mono_from_pairs
 from qgrass.straighten import (
     SubductionTrace,
-    _add_product,
+    _count_product,
+    _net,
     factor_initial,
     interval_mask,
     kernel_quadrics_oracle,
-    packed_image,
     reduced_groebner,
     sagbi_check,
+    signed_image,
     standard_monomials,
     straightening_relation,
     subduct,
@@ -429,17 +435,51 @@ def test_packer_refuses_an_exponent_beyond_its_digit():
         packer.pack(mono_from_pairs([(XVar(1, 1, 0), 8)]))
 
 
-def test_packed_image_refuses_a_lead_other_than_one(monkeypatch, fresh_images):
-    # an image leading with 2 would make the step a Fraction
+@pytest.mark.parametrize("term", [0, -1], ids=["lead", "trailing"])
+def test_signed_image_refuses_a_coefficient_other_than_one(monkeypatch, fresh_images, term):
+    # a lead of 2 would make a step a Fraction; the guard covers every term
     ctx = Context(2, 2, 1, 2)
     u, v = incomparable_pairs(ctx)[0]
+    mask = interval_mask(ctx, None)
+    pack = x_packer(ctx).pack
     real = maps.generator_image
-    monkeypatch.setattr(maps, "generator_image", lambda w, c, m: real(w, c, m).scale(2))
-    with pytest.raises(InternalInconsistencyError, match=r"leads with coefficient -?2,"):
+
+    def doubled(w, c, m):
+        terms = dict(real(w, c, m).terms)
+        terms[sorted(terms, key=pack)[term]] *= 2
+        return Polynomial(terms)
+
+    monkeypatch.setattr(maps, "generator_image", doubled)
+    image = packed_image(u, ctx, mask)
+    assert [abs(c) for _, c in image].count(2) == 1 and abs(image[term][1]) == 2
+    with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
+        signed_image(u, ctx, mask)
+    with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
         subduct((u, v), ctx)
 
 
 # -- the walk against the running-minimum loop ---------------------------------
+
+
+def packed_image(u, ctx, mask):
+    """Reference: the masked generator image of u as sorted (x_packer int,
+    coefficient) terms, leading term (the smallest int) first."""
+    pack = x_packer(ctx).pack
+    return sorted((pack(m), c) for m, c in maps.generator_image(u, ctx, mask).terms.items())
+
+
+def add_product(g, a, b, factor):
+    """Reference: g += factor * a * b on packed terms, one Python loop,
+    dropping cancelled monomials."""
+    for wa, ca in a:
+        fa = factor * ca
+        for wb, cb in b:
+            w = wa + wb
+            s = g.get(w, 0) + fa * cb
+            if s:
+                g[w] = s
+            else:
+                del g[w]
 
 
 def subduct_running_minimum(pair, ctx, interval=None):
@@ -447,13 +487,13 @@ def subduct_running_minimum(pair, ctx, interval=None):
     before the walk.  The running polynomial is one dict int -> coefficient;
     each step takes its smallest int (min(g)) as the leading term, looks it
     up in lead_pairs and subtracts the step times the image product with
-    _add_product, within a budget of one step per standard pair of the
+    add_product, within a budget of one step per standard pair of the
     multidegree, plus one."""
     table = straighten.subduction_table(ctx, interval)
     packer = x_packer(ctx)
     u, v = pair
     g = {}
-    _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
+    add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
     cap = None
     steps = []
     while g:
@@ -472,7 +512,7 @@ def subduct_running_minimum(pair, ctx, interval=None):
             if not img:
                 raise InternalInconsistencyError(f"zero image for {w!r}")
         step = polyring.norm_coeff(g[lead] * image_u[0][1] * image_v[0][1])
-        _add_product(g, image_u, image_v, -step)
+        add_product(g, image_u, image_v, -step)
         steps.append(((u, v), step))
     return SubductionTrace(steps, Polynomial.zero())
 
@@ -594,7 +634,7 @@ def test_walk_matches_running_minimum_with_a_zero_image(ctx333, monkeypatch, fre
             assert error is None and len(ref.steps) == first - 1
 
 
-# -- the kernel oracle on packed image products -------------------------------
+# -- the kernel oracle on counted image products ------------------------------
 
 
 def kernel_quadrics_oracle_polynomial(ctx, interval=None):
@@ -670,7 +710,7 @@ def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
     for i, u in enumerate(elems):
         for v in elems[i:]:
             g = {}
-            _add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
+            add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
             md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
             groups.setdefault(md, []).append(g)
     assert len(groups) == 705
@@ -693,36 +733,43 @@ def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_
         "generator_image",
         lambda w, c, m: Polynomial.zero() if w == zeroed else real(w, c, m),
     )
-    assert packed_image(zeroed, ctx, interval_mask(ctx, None)) == []
+    assert signed_image(zeroed, ctx, interval_mask(ctx, None)) == ((), ())
     fast = kernel_quadrics_oracle(ctx)
     assert fast == kernel_quadrics_oracle_polynomial(ctx)
     assert len(fast) > len(incomparable_pairs(ctx))
 
 
-def test_add_product_matches_polynomial_product():
+def test_count_product_matches_polynomial_product():
+    # |c| = 1 is counted in C and any other c term by term; at (3,3,1,3)
+    # 108 subduction steps have |c| = 2 and 2 have |c| = 3
     ctx = Context(2, 3, 1, 2)
-    table = subduction_table(ctx)
-    elems = elements(ctx)
-    for i, u in enumerate(elems):
-        for v in elems[i:]:
-            g = {}
-            _add_product(g, packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask), 1)
-            unpacked = Polynomial({x_packer(ctx).unpack(w): c for w, c in g.items()})
-            product = maps.generator_image(u, ctx, table.mask) * maps.generator_image(
-                v, ctx, table.mask
-            )
-            assert len(unpacked.terms) == len(g)
-            assert unpacked == product
+    mask = interval_mask(ctx, None)
+    unpack = x_packer(ctx).unpack
+    for u, v in itertools.combinations_with_replacement(elements(ctx), 2):
+        product = maps.generator_image(u, ctx, mask) * maps.generator_image(v, ctx, mask)
+        a, b = signed_image(u, ctx, mask), signed_image(v, ctx, mask)
+        for c in (1, -1, 2, -3):
+            pos, neg = {}, {}
+            _count_product(pos, neg, a, b, c)
+            assert all(n > 0 for n in itertools.chain(pos.values(), neg.values()))
+            g = _net(pos, neg)
+            assert all(g.values())
+            assert Polynomial({unpack(w): k for w, k in g.items()}) == product.scale(c)
+            # a product counted back out cancels every monomial
+            pos, neg = {}, {}
+            _count_product(pos, neg, a, b, c)
+            _count_product(pos, neg, a, b, -c)
+            assert _net(pos, neg) == {}
 
 
 def test_subduction_reuses_the_kernel_oracles_images():
     # no interval: the oracle and the subduction table share one mask
     ctx = CTX3312
-    packed_image.cache_clear()
+    signed_image.cache_clear()
     kernel_quadrics_oracle(ctx)
-    assert packed_image.cache_info().misses == len(elements(ctx)) == 60
+    assert signed_image.cache_info().misses == len(elements(ctx)) == 60
     assert sagbi_check(ctx)["failures"] == []
-    assert packed_image.cache_info().misses == 60
+    assert signed_image.cache_info().misses == 60
 
 
 def test_subduction_table_is_one_object_however_the_interval_is_passed():
