@@ -200,10 +200,6 @@ def sort_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-def young_rank(j: YoungSeq) -> int:
-    return sum(x - i for i, x in enumerate(j.entries, start=1))
-
-
 def linear_key(u: PluckerVar, ctx: Context):
     """Canonical linear extension: ascending (shift, rank, columns).
 

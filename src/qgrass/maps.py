@@ -5,8 +5,12 @@ level-graded matrix; psi is its leading monomial; chi is the corresponding
 row-consecutive minor of the level-stacked matrix; pi expands a variable
 over Young-sequence variables.  Masks zero out matrix entries to
 parameterize (skew) cells, and apply_hom / minor_map evaluate the induced
-ring maps.  Every minor is one Leibniz expansion (polyring.det) of a block
-of distinct variables, so its terms never cancel.
+ring maps.  Every minor is a Leibniz expansion of a block of distinct
+variables, so its terms never cancel.  A generator image sums one block per
+composition of its shift, and image_blocks is the one place that lays
+those blocks out: generator_image expands them with polyring.det, and
+straighten.signed_image expands the same blocks on packed ints, both over
+polyring.signed_permutations.
 
 Only lattice.to_young / from_young split a shift into matrix levels: psi,
 psi_invert and the cell masks are all read off that embedding.
@@ -197,24 +201,39 @@ def minor_map(
 # -- masked generator images and the induced homomorphism ----------------------
 
 
+def image_blocks(
+    u: PluckerVar, ctx: Context, mask: SpecMask = EMPTY_MASK
+) -> list[list[list[Optional[XVar]]]]:
+    """The blocks whose determinants sum to the masked image of u: one per
+    composition (l_1, ..., l_p) of the shift into parts at most n, row i
+    holding the level-l_i variables of the columns of u, each masked
+    variable replaced by None.
+
+    A monomial of a block's determinant fixes the block's composition, so
+    the blocks share no monomial.
+    """
+    lattice.validate_var(u, ctx, bound_shift=False)
+    if u.shift > ctx.n * ctx.p:
+        raise DomainError(f"shift {u.shift} exceeds the maximal degree {ctx.n * ctx.p}")
+    return [
+        _masked([[XVar(i, j, l) for j in u.cols] for i, l in enumerate(levels, start=1)], mask)
+        for levels in _compositions(u.shift, ctx)
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def generator_image(u: PluckerVar, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:
     """Image of a lattice variable under the (possibly masked) minor map: the
     coefficient of t^a in the maximal minor on columns alpha.
 
-    That coefficient sums, over the compositions (l_1, ..., l_p) of a, the
-    determinant of the block whose row i holds the level-l_i variables.  A
-    monomial fixes its composition, so the blocks share no monomial and
-    their terms merge with no cancellation.
+    That coefficient is the sum of the determinants (polyring.det) of the
+    image_blocks of u, which share no monomial, so their terms add with no
+    cancellation.
     """
-    lattice.validate_var(u, ctx, bound_shift=False)
-    if u.shift > ctx.n * ctx.p:
-        raise DomainError(f"shift {u.shift} exceeds the maximal degree {ctx.n * ctx.p}")
-    terms: dict = {}
-    for levels in _compositions(u.shift, ctx):
-        block = [[XVar(i, j, l) for j in u.cols] for i, l in enumerate(levels, start=1)]
-        terms.update(polyring.det(_masked(block, mask)).terms)
-    return Polynomial(terms)
+    image = Polynomial.zero()
+    for block in image_blocks(u, ctx, mask):
+        image = image + polyring.det(block)
+    return image
 
 
 def apply_hom(f: Polynomial, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:

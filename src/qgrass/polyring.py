@@ -5,8 +5,9 @@ elements (PluckerVar); monomials are sorted exponent tuples and polynomials
 map monomials to exact coefficients (int, promoted to Fraction only when a
 computation forces it).  Degree-reverse-lexicographic term orders, weight
 initial forms, the Leibniz determinant of a block of distinct variables
-(one term of coefficient +-1 per permutation, none cancelling), and the
-canonical text/JSON serializations all live here.
+(one term of coefficient +-1 per permutation, none cancelling) and its one
+cached table of signed permutations, and the canonical text/JSON
+serializations all live here.
 """
 
 from __future__ import annotations
@@ -63,21 +64,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     if not b:
         return a
     return mono_from_pairs(itertools.chain(a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
-    """a / b, or None when b does not divide a."""
-    db = dict(b)
-    out = []
-    for v, e in a:
-        r = e - db.pop(v, 0)
-        if r < 0:
-            return None
-        if r:
-            out.append((v, r))
-    if db:
-        return None
-    return tuple(out)
 
 
 def mono_deg(a: Mono) -> int:
@@ -175,10 +161,6 @@ class Polynomial:
         for _ in range(e):
             acc = acc * self
         return acc
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.terms), default=-1)
 
     def coefficient(self, mono: Mono) -> Coeff:
         return self.terms.get(mono, 0)
@@ -341,9 +323,16 @@ def initial_form(poly: Polynomial, weight: Callable) -> Polynomial:
 # -- determinants -------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of range(n), in itertools order, with its sign
+    (lattice.sort_sign): the terms of an n x n Leibniz expansion."""
+    return tuple((perm, lattice.sort_sign(perm)) for perm in itertools.permutations(range(n)))
+
+
 def det(block: list[list[Optional[XVar]]]) -> Polynomial:
     """Leibniz expansion of a square block of distinct variables, None for a
-    zero entry.
+    zero entry, over signed_permutations.
 
     Each permutation with no zero entry gives its own squarefree monomial,
     so no two terms cancel and every coefficient is the permutation's sign.
@@ -352,10 +341,10 @@ def det(block: list[list[Optional[XVar]]]) -> Polynomial:
     if any(len(row) != n for row in block):
         raise InvalidInputError("determinant of a non-square matrix")
     terms: dict = {}
-    for perm in itertools.permutations(range(n)):
+    for perm, sign in signed_permutations(n):
         vs = [row[j] for row, j in zip(block, perm)]
         if None not in vs:
-            terms[tuple(sorted((v, 1) for v in vs))] = lattice.sort_sign(perm)
+            terms[tuple(sorted((v, 1) for v in vs))] = sign
     return Polynomial(terms)
 
 

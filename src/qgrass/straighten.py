@@ -87,15 +87,6 @@ def hibi_binomial(u: PluckerVar, v: PluckerVar, ctx: Context) -> Quadric:
     return Quadric(poly, (u, v))
 
 
-def is_standard_monomial(mono: Mono, ctx: Context) -> bool:
-    """True when the variables of the monomial form a multichain."""
-    rows: list[PluckerVar] = []
-    for v, e in mono:
-        rows.extend([v] * e)
-    rows.sort(key=lambda u: lattice.linear_key(u, ctx))
-    return lattice.is_standard(tuple(rows))
-
-
 def standard_monomials(
     ctx: Context,
     degree: int,
@@ -148,19 +139,32 @@ class SubductionTable(NamedTuple):
     without one), u == v included.  By the sagbi theorem these are the
     monomials of the initial algebra, one standard pair each (the Hibi
     toric ring), so the map is the whole factoring step of subduction;
-    leads: per multidegree (keyed by _multidegree), the keys of lead_pairs
-    whose pairs lie in it, in ascending order: the candidate leading terms
-    that subduct walks, one per standard pair of the multidegree.
+    leads: per multidegree (keyed by the _multidegree int), the keys of
+    lead_pairs whose pairs lie in it, in ascending order: the candidate
+    leading terms that subduct walks, one per standard pair of the
+    multidegree.
     """
 
     mask: SpecMask
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]]
-    leads: dict[tuple[tuple[int, ...], int], list[int]]
+    leads: dict[int, list[int]]
 
 
-def _multidegree(u: PluckerVar, v: PluckerVar) -> tuple[tuple[int, ...], int]:
-    """(sorted columns of u and v, shift sum): the grading of the pair u*v."""
-    return tuple(sorted(u.cols + v.cols)), u.shift + v.shift
+@functools.lru_cache(maxsize=None)
+def _degree_key(u: PluckerVar, ctx: Context) -> int:
+    """u's share of _multidegree: 1 in the 2-bit digit of each of its
+    columns (column c at bit 2*(c-1)), and its shift above the ctx.width
+    column digits."""
+    return sum(1 << 2 * (c - 1) for c in u.cols) + (u.shift << 2 * ctx.width)
+
+
+def _multidegree(u: PluckerVar, v: PluckerVar, ctx: Context) -> int:
+    """The grading of the pair u*v, (sorted columns of u and v, shift sum),
+    as one int: the sum of their _degree_key.  A pair holds a column at
+    most twice, so each 2-bit digit counts its column with no carry, and
+    the shift sum sits above them: distinct multidegrees get distinct ints.
+    """
+    return _degree_key(u, ctx) + _degree_key(v, ctx)
 
 
 def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> SubductionTable:
@@ -178,7 +182,7 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
     pack = x_packer(ctx).pack
     leads = {u: pack(maps.psi(u, ctx)) for u in elems}
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
-    by_md: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    by_md: dict[int, list[int]] = {}
     for u, v in itertools.combinations_with_replacement(elems, 2):
         if lattice.leq(u, v):
             lead = leads[u] + leads[v]
@@ -188,7 +192,7 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
                     f"{lead_pairs[lead]!r} and {(u, v)!r}"
                 )
             lead_pairs[lead] = (u, v)
-            by_md.setdefault(_multidegree(u, v), []).append(lead)
+            by_md.setdefault(_multidegree(u, v, ctx), []).append(lead)
     for md_leads in by_md.values():
         md_leads.sort()
     return SubductionTable(interval_mask(ctx, interval), lead_pairs, by_md)
@@ -203,19 +207,33 @@ def signed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> SignedImage:
     ascending ints of its positive terms and those of its negative terms.
     A subduction table and the oracle with equal masks share it.
 
-    An image is a minor: each of its monomials is the product of one
-    permutation's entries, which the monomial determines (see
-    maps.generator_image), so no two terms merge and every coefficient is
-    the permutation's sign.  Any other coefficient, on any term, is an
-    internal error; so every subduction step is a product of integers.
+    It is expanded here, with no Polynomial: each of maps.image_blocks
+    becomes a block of x_packer single-variable ints (None stays a zero
+    entry), and each signed permutation (polyring.signed_permutations)
+    with no zero entry adds the sum of its entries, its packed monomial,
+    to the side of its sign.  A monomial fixes its composition and its
+    permutation, so no two terms merge and every coefficient is the
+    permutation's sign; an int that appears twice could only come from a
+    faulty packer, and is an internal error.  So every subduction step is
+    a product of integers.
     """
-    pack = x_packer(ctx).pack
-    signed: dict = {1: [], -1: []}
-    for m, c in maps.generator_image(u, ctx, mask).terms.items():
-        if c not in signed:
-            raise InternalInconsistencyError(f"image of {u!r} has a coefficient {c}, not 1 or -1")
-        signed[c].append(pack(m))
-    return tuple(sorted(signed[1])), tuple(sorted(signed[-1]))
+    offsets = x_packer(ctx).offsets
+    pos: list[int] = []
+    neg: list[int] = []
+    for block in maps.image_blocks(u, ctx, mask):
+        ints = [[None if v is None else 1 << offsets[v] for v in row] for row in block]
+        for perm, sign in polyring.signed_permutations(ctx.p):
+            entries = [row[j] for row, j in zip(ints, perm)]
+            if None not in entries:
+                (pos if sign > 0 else neg).append(sum(entries))
+    terms = pos + neg
+    if len(set(terms)) < len(terms):
+        w = min(w for w in terms if terms.count(w) > 1)
+        raise InternalInconsistencyError(
+            f"image of {u!r} has a coefficient {pos.count(w) - neg.count(w)}, "
+            f"not 1 or -1, at a repeated term"
+        )
+    return tuple(sorted(pos)), tuple(sorted(neg))
 
 
 def _lead(image: SignedImage) -> Optional[tuple[int, int]]:
@@ -338,7 +356,7 @@ def subduct(
     neg: dict = {}
     u, v = pair
     _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
-    candidates = table.leads.get(_multidegree(u, v), [])
+    candidates = table.leads.get(_multidegree(u, v, ctx), [])
 
     steps: list[tuple[tuple[PluckerVar, PluckerVar], int]] = []
     taken: list[int] = []  # the lead of each step
@@ -524,9 +542,9 @@ def kernel_quadrics_oracle(
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
-    groups: dict[tuple, list[tuple[PluckerVar, PluckerVar]]] = {}
+    groups: dict[int, list[tuple[PluckerVar, PluckerVar]]] = {}
     for u, v in itertools.combinations_with_replacement(elems, 2):
-        groups.setdefault(_multidegree(u, v), []).append((u, v))
+        groups.setdefault(_multidegree(u, v, ctx), []).append((u, v))
     leads = {u: lead[0] for u in elems if (lead := _lead(signed_image(u, ctx, mask)))}
     relations: dict[Mono, Polynomial] = {}
     for pairs in groups.values():

@@ -25,12 +25,13 @@ def gb333(ctx333):
 
 def clear_image_caches():
     straighten.signed_image.cache_clear()
+    maps.generator_image.cache_clear()
 
 
 @pytest.fixture
 def fresh_images():
-    """Clear the signed image cache before and after the test, so an image
-    built under a patch neither meets a cached one nor outlives it."""
+    """Clear both image caches before and after the test, so an image built
+    under a patch neither meets a cached one nor outlives it."""
     clear_image_caches()
     yield
     clear_image_caches()

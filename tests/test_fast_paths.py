@@ -7,6 +7,13 @@ replaced, kept here as the reference.
   psi(u)'s quotient.
 - The table's leads hold one candidate lead per standard pair of each
   multidegree; the reference enumerates the pairs with standard_monomials.
+- _multidegree keys a pair's multidegree by one int, the sum of two
+  per-element ints; the reference is the (sorted columns, shift sum)
+  tuple, mapped to the same int layout by md_key where a test needs the
+  table's key.
+- signed_image expands maps.image_blocks on packed ints itself; the
+  reference packs each term of the Polynomial generator_image
+  (packed_image), as signed_image did before.
 - TermOrder.key ranks monomials; the references are TermOrder.compare and
   the dense degrevlex key over a fixed variable list that exact
   elimination used before it took TermOrder.key.
@@ -35,6 +42,7 @@ replaced, kept here as the reference.
   pair, which validates and subducts it on its own.
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -50,6 +58,7 @@ needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not inst
 
 from qgrass import lattice, linalg, maps, polyring, straighten
 from qgrass.errors import (
+    DomainError,
     InternalInconsistencyError,
     InvalidInputError,
     NotInInitialAlgebraError,
@@ -74,7 +83,8 @@ from qgrass.straighten import (
 )
 
 from conftest import clear_image_caches
-from test_polyring import level_sum
+from test_lattice import LADDER
+from test_polyring import level_sum, mono_div
 
 
 def factor_initial_scan(mono, ctx, elems=None):
@@ -87,7 +97,7 @@ def factor_initial_scan(mono, ctx, elems=None):
     for u in elems:
         if u.shift > budget or budget - u.shift > ctx.q:
             continue
-        quotient = polyring.mono_div(mono, maps.psi(u, ctx))
+        quotient = mono_div(mono, maps.psi(u, ctx))
         if quotient is None:
             continue
         v = maps.psi_invert(quotient, ctx)
@@ -180,6 +190,28 @@ def all_multidegrees(elems):
     }
 
 
+def md_key(md, ctx):
+    """The int key of a (sorted columns, shift sum) multidegree: a 2-bit
+    count per column, column c at bit 2*(c-1), and the shift sum above the
+    ctx.width column digits."""
+    cols, shift = md
+    return sum(1 << 2 * (c - 1) for c in cols) + (shift << 2 * ctx.width)
+
+
+@pytest.mark.parametrize("params", LADDER, ids=str)
+def test_multidegree_key_is_the_tuple_multidegree(params):
+    # the reference is the tuple; the int must agree with it and tell
+    # distinct tuples apart on every pair
+    ctx = Context(*params)
+    keys = {}
+    for u, v in itertools.combinations_with_replacement(elements(ctx), 2):
+        md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
+        key = straighten._multidegree(u, v, ctx)
+        assert key == md_key(md, ctx) == straighten._multidegree(v, u, ctx)
+        assert keys.setdefault(md, key) == key
+    assert len(set(keys.values())) == len(keys)
+
+
 @pytest.mark.parametrize(
     "ctx,interval",
     [(CTX3312, None)]
@@ -189,13 +221,13 @@ def test_table_leads_match_standard_monomials(ctx, interval):
     table = subduction_table(ctx, interval)
     leads = table.leads
     mds = all_multidegrees(elements(ctx, interval))
-    assert set(leads) <= mds
+    assert set(leads) <= {md_key(md, ctx) for md in mds}
     for md in mds:
-        assert len(leads.get(md, ())) == len(standard_monomials(ctx, 2, md, interval))
+        assert len(leads.get(md_key(md, ctx), ())) == len(standard_monomials(ctx, 2, md, interval))
     assert sorted(table.lead_pairs) == sorted(w for md_leads in leads.values() for w in md_leads)
     for md, md_leads in leads.items():
         assert md_leads == sorted(md_leads)
-        assert all(straighten._multidegree(*table.lead_pairs[w]) == md for w in md_leads)
+        assert all(straighten._multidegree(*table.lead_pairs[w], ctx) == md for w in md_leads)
     for w, (u, v) in table.lead_pairs.items():
         assert lattice.leq(u, v)
         assert w == x_packer(ctx).pack(psi_product(u, v, ctx))
@@ -336,7 +368,7 @@ def subduct_polynomial(f, ctx, interval=None):
             return SubductionTrace(steps, f, witness=mono)
         if cap is None:
             md = (column_multiset(mono), level_sum(mono))
-            cap = len(table.leads.get(md, ())) + 1
+            cap = len(table.leads.get(md_key(md, ctx), ())) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
         step = Fraction(coeff) / (lc(u) * lc(v))
@@ -435,21 +467,36 @@ def test_packer_refuses_an_exponent_beyond_its_digit():
         packer.pack(mono_from_pairs([(XVar(1, 1, 0), 8)]))
 
 
+def with_a_term_repeated(blocks, ctx, term):
+    """blocks and one more block that holds only the entries of the
+    permutation giving the image's term-th smallest int: that term counted
+    twice, with its own sign."""
+    pack = x_packer(ctx).pack
+    found = []
+    for block in blocks:
+        for perm, _ in polyring.signed_permutations(ctx.p):
+            entries = [(i, j, block[i][j]) for i, j in enumerate(perm)]
+            if all(x is not None for _, _, x in entries):
+                found.append((pack(mono_from_pairs((x, 1) for _, _, x in entries)), entries))
+    found.sort(key=lambda t: t[0])
+    lone = [[None] * ctx.p for _ in range(ctx.p)]
+    for i, j, x in found[term][1]:
+        lone[i][j] = x
+    return blocks + [lone]
+
+
 @pytest.mark.parametrize("term", [0, -1], ids=["lead", "trailing"])
 def test_signed_image_refuses_a_coefficient_other_than_one(monkeypatch, fresh_images, term):
     # a lead of 2 would make a step a Fraction; the guard covers every term
     ctx = Context(2, 2, 1, 2)
     u, v = incomparable_pairs(ctx)[0]
     mask = interval_mask(ctx, None)
-    pack = x_packer(ctx).pack
-    real = maps.generator_image
+    real = maps.image_blocks
 
-    def doubled(w, c, m):
-        terms = dict(real(w, c, m).terms)
-        terms[sorted(terms, key=pack)[term]] *= 2
-        return Polynomial(terms)
+    def doubled(w, c, m=maps.EMPTY_MASK):
+        return with_a_term_repeated(real(w, c, m), c, term)
 
-    monkeypatch.setattr(maps, "generator_image", doubled)
+    monkeypatch.setattr(maps, "image_blocks", doubled)
     image = packed_image(u, ctx, mask)
     assert [abs(c) for _, c in image].count(2) == 1 and abs(image[term][1]) == 2
     with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
@@ -458,7 +505,35 @@ def test_signed_image_refuses_a_coefficient_other_than_one(monkeypatch, fresh_im
         subduct((u, v), ctx)
 
 
-# -- the walk against the running-minimum loop ---------------------------------
+def test_signed_image_refuses_a_repeated_term(monkeypatch, fresh_images):
+    # a packer blind to levels: x[i,j,0] and x[i,j,1] share an offset, so
+    # the compositions (0,1) and (1,0) of a shift-1 image give equal ints
+    ctx = Context(2, 2, 1, 2)
+    packer = x_packer(ctx)
+    blind = copy.copy(packer)
+    blind.offsets = {v: packer.offsets[v._replace(level=0)] for v in packer.offsets}
+    monkeypatch.setattr(straighten, "x_packer", lambda c: blind)
+    with pytest.raises(
+        InternalInconsistencyError, match=r"has a coefficient -?2, not 1 or -1, at a repeated term"
+    ):
+        signed_image(parse_var("12^1"), ctx, maps.EMPTY_MASK)
+
+
+@pytest.mark.parametrize(
+    "u,error",
+    [
+        (lattice.PluckerVar((1, 2), 5), DomainError),
+        (lattice.PluckerVar((2, 1), 1), InvalidInputError),
+        (lattice.PluckerVar((1, 3), -1), InvalidInputError),
+    ],
+    ids=["shift-above-n*p", "columns-not-increasing", "negative-shift"],
+)
+def test_signed_image_refuses_what_generator_image_refuses(u, error):
+    ctx = Context(2, 2, 1, 2)
+    with pytest.raises(error):
+        maps.generator_image(u, ctx)
+    with pytest.raises(error):
+        signed_image(u, ctx, maps.EMPTY_MASK)
 
 
 def packed_image(u, ctx, mask):
@@ -466,6 +541,28 @@ def packed_image(u, ctx, mask):
     coefficient) terms, leading term (the smallest int) first."""
     pack = x_packer(ctx).pack
     return sorted((pack(m), c) for m, c in maps.generator_image(u, ctx, mask).terms.items())
+
+
+def signed_image_reference(u, ctx, mask):
+    """Reference: signed_image as it was built from the Polynomial image,
+    one packed monomial per term, split by its coefficient 1 or -1."""
+    image = packed_image(u, ctx, mask)
+    assert all(c in (1, -1) for _, c in image)
+    return tuple(w for w, c in image if c == 1), tuple(w for w, c in image if c == -1)
+
+
+@pytest.mark.parametrize("params", LADDER, ids=str)
+def test_signed_image_matches_packed_generator_image(params):
+    ctx = Context(*params)
+    masks = [maps.EMPTY_MASK, maps.schubert_mask(ctx, lattice.top(ctx))]
+    if ctx == KEY_CTX:
+        masks += [interval_mask(ctx, (parse_var(b), parse_var(t))) for b, t in INTERVALS_3313]
+    for mask in masks:
+        for u in elements(ctx):
+            assert signed_image(u, ctx, mask) == signed_image_reference(u, ctx, mask)
+
+
+# -- the walk against the running-minimum loop ---------------------------------
 
 
 def add_product(g, a, b, factor):
@@ -504,7 +601,7 @@ def subduct_running_minimum(pair, ctx, interval=None):
             return SubductionTrace(steps, remainder, witness=packer.unpack(lead))
         u, v = pair
         if cap is None:
-            cap = len(table.leads.get(straighten._multidegree(u, v), ())) + 1
+            cap = len(table.leads.get(straighten._multidegree(u, v, ctx), ())) + 1
         if len(steps) >= cap:
             raise InternalInconsistencyError("subduction exceeded its step budget")
         image_u, image_v = packed_image(u, ctx, table.mask), packed_image(v, ctx, table.mask)
@@ -584,9 +681,9 @@ def step_leads(trace, ctx):
     return [pack(maps.psi(u, ctx)) + pack(maps.psi(v, ctx)) for (u, v), _ in trace.steps]
 
 
-def drop_lead(table, lead):
+def drop_lead(table, lead, ctx):
     """table without the standard pair whose lead is lead."""
-    md = straighten._multidegree(*table.lead_pairs[lead])
+    md = straighten._multidegree(*table.lead_pairs[lead], ctx)
     return table._replace(
         lead_pairs={w: pair for w, pair in table.lead_pairs.items() if w != lead},
         leads={**table.leads, md: [w for w in table.leads[md] if w != lead]},
@@ -602,7 +699,7 @@ def test_walk_matches_running_minimum_with_a_lead_dropped(ctx333, monkeypatch):
     table = subduction_table(ctx333)
     leads = step_leads(subduct(RELATION_29, ctx333), ctx333)
     for k, lead in enumerate(leads):
-        use_table(monkeypatch, drop_lead(table, lead))
+        use_table(monkeypatch, drop_lead(table, lead, ctx333))
         ref, error = assert_walks_like_running_minimum(RELATION_29, ctx333)
         assert error is None and len(ref.steps) == k
         assert ref.witness == x_packer(ctx333).unpack(lead)
@@ -613,11 +710,11 @@ def test_walk_matches_running_minimum_with_a_zero_image(ctx333, monkeypatch, fre
     leads = step_leads(trace, ctx333)
     table = subduction_table(ctx333)
     zeroed = set()
-    real = maps.generator_image
+    real = maps.image_blocks
     monkeypatch.setattr(
         maps,
-        "generator_image",
-        lambda w, c, m=maps.EMPTY_MASK: Polynomial.zero() if w in zeroed else real(w, c, m),
+        "image_blocks",
+        lambda w, c, m=maps.EMPTY_MASK: [] if w in zeroed else real(w, c, m),
     )
     for k in (1, 5, 17, 28):
         zeroed.clear()
@@ -629,7 +726,7 @@ def test_walk_matches_running_minimum_with_a_zero_image(ctx333, monkeypatch, fre
         assert error == f"zero image for {trace.steps[first][0][1]!r}"
         # a lead dropped before the zero image stops the run first
         if first:
-            use_table(monkeypatch, drop_lead(table, leads[first - 1]))
+            use_table(monkeypatch, drop_lead(table, leads[first - 1], ctx333))
             ref, error = assert_walks_like_running_minimum(RELATION_29, ctx333)
             assert error is None and len(ref.steps) == first - 1
 
@@ -727,11 +824,11 @@ def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_
     # a zero image makes zero rows, each a kernel vector of its own
     ctx = Context(2, 3, 1, 2)
     zeroed = elements(ctx)[7]
-    real = maps.generator_image
+    real = maps.image_blocks
     monkeypatch.setattr(
         maps,
-        "generator_image",
-        lambda w, c, m: Polynomial.zero() if w == zeroed else real(w, c, m),
+        "image_blocks",
+        lambda w, c, m=maps.EMPTY_MASK: [] if w == zeroed else real(w, c, m),
     )
     assert signed_image(zeroed, ctx, interval_mask(ctx, None)) == ((), ())
     fast = kernel_quadrics_oracle(ctx)

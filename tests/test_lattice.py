@@ -24,8 +24,12 @@ from qgrass.lattice import (
     to_young,
     top,
     validate_var,
-    young_rank,
 )
+
+
+def young_rank(j):
+    return sum(x - i for i, x in enumerate(j.entries, start=1))
+
 
 C331 = Context(3, 3, 1, 3)
 

@@ -22,7 +22,6 @@ from qgrass.polyring import (
     emit_text,
     initial_form,
     mono_deg,
-    mono_div,
     mono_from_pairs,
     mono_mul,
     parse_json,
@@ -34,6 +33,26 @@ CTX = Context(3, 3, 1, 3)
 
 def mono(*vars_):
     return mono_from_pairs((v, 1) for v in vars_)
+
+
+def mono_div(a, b):
+    """a / b, or None when b does not divide a."""
+    db = dict(b)
+    out = []
+    for v, e in a:
+        r = e - db.pop(v, 0)
+        if r < 0:
+            return None
+        if r:
+            out.append((v, r))
+    if db:
+        return None
+    return tuple(out)
+
+
+def degree(poly):
+    """Total degree; -1 for the zero polynomial."""
+    return max((mono_deg(m) for m in poly.terms), default=-1)
 
 
 def test_variable_chain_order():
@@ -76,8 +95,8 @@ def test_ring_ops():
     y = Polynomial.variable(XVar(1, 2, 0))
     assert (x + (-x)).is_zero()
     assert (x + y) * (x - y) == x * x - y * y
-    assert (x * y).degree() == 2
-    assert Polynomial.zero().degree() == -1
+    assert degree(x * y) == 2
+    assert degree(Polynomial.zero()) == -1
     assert X_ORDER.leading_term(Polynomial.zero()) is None
 
 

@@ -19,7 +19,6 @@ from qgrass.lattice import (
     meet_join,
     rank,
     to_young,
-    young_rank,
 )
 from qgrass import polyring
 from qgrass.polyring import (
@@ -35,6 +34,8 @@ from qgrass.polyring import (
     parse_json,
     parse_text,
 )
+
+from test_lattice import young_rank
 
 CTX = Context(3, 3, 1, 3)
 ELEMS = elements(CTX)

@@ -15,7 +15,6 @@ from qgrass.polyring import Polynomial, emit_text, mono_from_pairs
 from qgrass.straighten import (
     factor_initial,
     hibi_binomial,
-    is_standard_monomial,
     kernel_quadrics_oracle,
     reduced_groebner,
     sagbi_check,
@@ -29,6 +28,15 @@ from conftest import golden_text
 
 def pair_mono(u, v):
     return mono_from_pairs([(u, 1), (v, 1)])
+
+
+def is_standard_monomial(mono, ctx):
+    """True when the variables of the monomial form a multichain."""
+    rows = []
+    for v, e in mono:
+        rows.extend([v] * e)
+    rows.sort(key=lambda u: lattice.linear_key(u, ctx))
+    return lattice.is_standard(tuple(rows))
 
 
 def test_hibi_examples(ctx333):
@@ -161,12 +169,12 @@ GAMMA_DELTA = (parse_var("156^1"), parse_var("234^2"))
 
 def test_subduct_zero_image_fires(ctx333, monkeypatch, capsys, fresh_images):
     meet = parse_var("146^1")
-    real_image = maps.generator_image
+    real_blocks = maps.image_blocks
 
-    def image(u, ctx, mask=maps.EMPTY_MASK):
-        return Polynomial.zero() if u == meet else real_image(u, ctx, mask)
+    def blocks(u, ctx, mask=maps.EMPTY_MASK):
+        return [] if u == meet else real_blocks(u, ctx, mask)
 
-    monkeypatch.setattr(maps, "generator_image", image)
+    monkeypatch.setattr(maps, "image_blocks", blocks)
     with pytest.raises(InternalInconsistencyError, match="zero image for"):
         subduct(GAMMA_DELTA, ctx333)
     out = io.StringIO()
