@@ -8,9 +8,10 @@ parameterize (skew) cells, and apply_hom / minor_map evaluate the induced
 ring maps.  Every minor is a Leibniz expansion of a block of distinct
 variables, so its terms never cancel.  A generator image sums one block per
 composition of its shift, and image_blocks is the one place that lays
-those blocks out: generator_image expands them with polyring.det, and
-straighten.signed_image expands the same blocks on packed ints, both over
-polyring.signed_permutations.
+those blocks out.  signed_image is the one expansion of an image: it walks
+each block with polyring.leibniz on packed ints, and generator_image is
+that packed image unpacked, so phi, schubert and apply_hom print and
+evaluate exactly what subduction and the kernel oracle multiply.
 
 Only lattice.to_young / from_young split a shift into matrix levels: psi,
 psi_invert and the cell masks are all read off that embedding.
@@ -23,7 +24,7 @@ import itertools
 from typing import Optional
 
 from . import lattice, polyring
-from .errors import DomainError, InvalidInputError, NotInImageError
+from .errors import DomainError, InternalInconsistencyError, InvalidInputError, NotInImageError
 from .lattice import Context, PluckerVar, YoungSeq
 from .polyring import Mono, Polynomial, XVar
 
@@ -221,19 +222,48 @@ def image_blocks(
     ]
 
 
+SignedImage = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def signed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> SignedImage:
+    """The masked generator image of u on polyring.x_packer ints: the
+    ascending ints of its positive terms and those of its negative terms.
+
+    Each image_blocks block becomes a block of single-variable ints (None
+    stays a zero entry), and each term of its polyring.leibniz walk adds
+    the sum of its entries, its packed monomial, to the side of its sign.
+    A monomial fixes its composition and its permutation, so an int that
+    appears twice can only come from a faulty packer or block: it is an
+    internal error, and every coefficient is 1 or -1.
+    """
+    offsets = polyring.x_packer(ctx).offsets
+    pos: list[int] = []
+    neg: list[int] = []
+    for block in image_blocks(u, ctx, mask):
+        ints = [[None if v is None else 1 << offsets[v] for v in row] for row in block]
+        for entries, sign in polyring.leibniz(ints):
+            (pos if sign > 0 else neg).append(sum(entries))
+    terms = pos + neg
+    if len(set(terms)) < len(terms):
+        w = min(w for w in terms if terms.count(w) > 1)
+        raise InternalInconsistencyError(
+            f"image of {u!r} has a coefficient {pos.count(w) - neg.count(w)}, "
+            f"not 1 or -1, at a repeated term"
+        )
+    return tuple(sorted(pos)), tuple(sorted(neg))
+
+
 @functools.lru_cache(maxsize=None)
 def generator_image(u: PluckerVar, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:
     """Image of a lattice variable under the (possibly masked) minor map: the
-    coefficient of t^a in the maximal minor on columns alpha.
-
-    That coefficient is the sum of the determinants (polyring.det) of the
-    image_blocks of u, which share no monomial, so their terms add with no
-    cancellation.
+    coefficient of t^a in the maximal minor on columns alpha, as the
+    Polynomial of its signed_image, each int unpacked with coefficient 1
+    on the positive side and -1 on the negative side.
     """
-    image = Polynomial.zero()
-    for block in image_blocks(u, ctx, mask):
-        image = image + polyring.det(block)
-    return image
+    unpack = polyring.x_packer(ctx).unpack
+    pos, neg = signed_image(u, ctx, mask)
+    return Polynomial({unpack(w): c for side, c in ((pos, 1), (neg, -1)) for w in side})
 
 
 def apply_hom(f: Polynomial, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:

@@ -4,10 +4,9 @@ Variables are either matrix-entry coordinates x[i,j,l] (XVar) or lattice
 elements (PluckerVar); monomials are sorted exponent tuples and polynomials
 map monomials to exact coefficients (int, promoted to Fraction only when a
 computation forces it).  Degree-reverse-lexicographic term orders, weight
-initial forms, the Leibniz determinant of a block of distinct variables
-(one term of coefficient +-1 per permutation, none cancelling) and its one
-cached table of signed permutations, and the canonical text/JSON
-serializations all live here.
+initial forms, the packer of the matrix variables, the one Leibniz walk of
+a square block (over a cached table of signed permutations) with det on
+it, and the canonical text/JSON serializations all live here.
 """
 
 from __future__ import annotations
@@ -263,6 +262,7 @@ class Packer:
         ordered = sorted(set(variables), key=order.var_key)
         top = len(ordered) - 1
         self.offsets = {v: self.bits * (top - k) for k, v in enumerate(ordered)}
+        self.variables = {off: v for v, off in self.offsets.items()}
 
     def covers(self, m: Mono) -> bool:
         """True when every variable of m is in the universe."""
@@ -281,14 +281,34 @@ class Packer:
         return out
 
     def unpack(self, n: int) -> Mono:
-        """The inverse of pack."""
-        digit = (1 << self.bits) - 1
-        return tuple(
-            sorted((v, n >> off & digit) for v, off in self.offsets.items() if n >> off & digit)
-        )
+        """The inverse of pack, one step per variable of n: the top bit of n
+        lies in the digit of its smallest variable."""
+        pairs = []
+        while n:
+            off = (n.bit_length() - 1) // self.bits * self.bits
+            pairs.append((self.variables[off], n >> off))
+            n &= (1 << off) - 1
+        return tuple(sorted(pairs))
 
 
 X_ORDER = TermOrder(lambda v: (v.level, v.row, v.col))
+
+
+@functools.lru_cache(maxsize=None)
+def x_packer(ctx: Context) -> Packer:
+    """The X_ORDER packer of a context's matrix variables x[i,j,l].
+
+    Exponents go up to 2p: every image has degree p, so a product of two
+    packed images is an integer sum with no carry.
+    """
+    variables = (
+        XVar(i, j, l)
+        for i in range(1, ctx.p + 1)
+        for j in range(1, ctx.width + 1)
+        for l in range(ctx.n + 1)
+    )
+    return Packer(X_ORDER, variables, 2 * ctx.p)
+
 
 YOUNG_ORDER = TermOrder(lambda j: j.entries)
 
@@ -330,22 +350,24 @@ def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((perm, lattice.sort_sign(perm)) for perm in itertools.permutations(range(n)))
 
 
-def det(block: list[list[Optional[XVar]]]) -> Polynomial:
-    """Leibniz expansion of a square block of distinct variables, None for a
-    zero entry, over signed_permutations.
-
-    Each permutation with no zero entry gives its own squarefree monomial,
-    so no two terms cancel and every coefficient is the permutation's sign.
-    """
+def leibniz(block: list[list]):
+    """(entries, sign) for each permutation of signed_permutations whose
+    entries in a square block (row i's entry in column perm[i]) include no
+    None, a zero entry: the terms of its Leibniz expansion, in order."""
     n = len(block)
     if any(len(row) != n for row in block):
         raise InvalidInputError("determinant of a non-square matrix")
-    terms: dict = {}
     for perm, sign in signed_permutations(n):
-        vs = [row[j] for row, j in zip(block, perm)]
-        if None not in vs:
-            terms[tuple(sorted((v, 1) for v in vs))] = sign
-    return Polynomial(terms)
+        entries = [row[j] for row, j in zip(block, perm)]
+        if None not in entries:
+            yield entries, sign
+
+
+def det(block: list[list[Optional[XVar]]]) -> Polynomial:
+    """Determinant of a square block of distinct variables, None for a zero
+    entry: each term of its leibniz walk is its own squarefree monomial, so
+    no two terms cancel and every coefficient is the permutation's sign."""
+    return Polynomial({tuple(sorted((v, 1) for v in vs)): sign for vs, sign in leibniz(block)})
 
 
 # -- serialization ------------------------------------------------------------

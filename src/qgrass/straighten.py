@@ -5,9 +5,9 @@ monomial of a product of generator images is repeatedly cancelled by the
 image of a standard (comparable) pair, and the recorded steps assemble the
 quadratic relation with that incomparable product as leading term.  An
 exact linear-algebra kernel over the quadratic part serves as an
-independent oracle: it builds its rows from the same packed image products,
-eliminates only the multidegree groups whose product leads collide, and
-never subducts.
+independent oracle: it builds its rows from the same products of
+maps.signed_image, eliminates only the multidegree groups whose product
+leads collide, and never subducts.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import (
     SagbiFailureError,
 )
 from .lattice import Context, PluckerVar
-from .maps import EMPTY_MASK, SpecMask
-from .polyring import Mono, Packer, Polynomial, X_ORDER, XVar
+from .maps import EMPTY_MASK, SignedImage, SpecMask
+from .polyring import Mono, Polynomial
 
 Interval = tuple[PluckerVar, PluckerVar]
 
@@ -114,22 +114,6 @@ def standard_monomials(
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def x_packer(ctx: Context) -> Packer:
-    """The X_ORDER packer of a context's matrix variables x[i,j,l].
-
-    Exponents go up to 2p: every image has degree p, so a product of two
-    packed images is an integer sum with no carry.
-    """
-    variables = (
-        XVar(i, j, l)
-        for i in range(1, ctx.p + 1)
-        for j in range(1, ctx.width + 1)
-        for l in range(ctx.n + 1)
-    )
-    return Packer(X_ORDER, variables, 2 * ctx.p)
-
-
 class SubductionTable(NamedTuple):
     """What subduction needs of one (context, interval), built once.
 
@@ -179,7 +163,7 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
 @functools.lru_cache(maxsize=None)
 def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionTable:
     elems = lattice.elements(ctx, interval)
-    pack = x_packer(ctx).pack
+    pack = polyring.x_packer(ctx).pack
     leads = {u: pack(maps.psi(u, ctx)) for u in elems}
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
     by_md: dict[int, list[int]] = {}
@@ -196,44 +180,6 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
     for md_leads in by_md.values():
         md_leads.sort()
     return SubductionTable(interval_mask(ctx, interval), lead_pairs, by_md)
-
-
-SignedImage = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@functools.lru_cache(maxsize=None)
-def signed_image(u: PluckerVar, ctx: Context, mask: SpecMask) -> SignedImage:
-    """The masked generator image of u on x_packer ints, split by sign: the
-    ascending ints of its positive terms and those of its negative terms.
-    A subduction table and the oracle with equal masks share it.
-
-    It is expanded here, with no Polynomial: each of maps.image_blocks
-    becomes a block of x_packer single-variable ints (None stays a zero
-    entry), and each signed permutation (polyring.signed_permutations)
-    with no zero entry adds the sum of its entries, its packed monomial,
-    to the side of its sign.  A monomial fixes its composition and its
-    permutation, so no two terms merge and every coefficient is the
-    permutation's sign; an int that appears twice could only come from a
-    faulty packer, and is an internal error.  So every subduction step is
-    a product of integers.
-    """
-    offsets = x_packer(ctx).offsets
-    pos: list[int] = []
-    neg: list[int] = []
-    for block in maps.image_blocks(u, ctx, mask):
-        ints = [[None if v is None else 1 << offsets[v] for v in row] for row in block]
-        for perm, sign in polyring.signed_permutations(ctx.p):
-            entries = [row[j] for row, j in zip(ints, perm)]
-            if None not in entries:
-                (pos if sign > 0 else neg).append(sum(entries))
-    terms = pos + neg
-    if len(set(terms)) < len(terms):
-        w = min(w for w in terms if terms.count(w) > 1)
-        raise InternalInconsistencyError(
-            f"image of {u!r} has a coefficient {pos.count(w) - neg.count(w)}, "
-            f"not 1 or -1, at a repeated term"
-        )
-    return tuple(sorted(pos)), tuple(sorted(neg))
 
 
 def _lead(image: SignedImage) -> Optional[tuple[int, int]]:
@@ -302,7 +248,7 @@ def factor_initial(
     monomials are linearly independent, so building the table raises an
     internal error on the first monomial seen twice.
     """
-    packer = x_packer(ctx)
+    packer = polyring.x_packer(ctx)
     pair = None
     if polyring.mono_deg(mono) == 2 * ctx.p and packer.covers(mono):
         pair = subduction_table(ctx, interval).lead_pairs.get(packer.pack(mono))
@@ -352,10 +298,11 @@ def subduct(
     """
     table = subduction_table(ctx, interval)
     mask = table.mask
+    image = maps.signed_image
     pos: dict = {}
     neg: dict = {}
     u, v = pair
-    _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
+    _count_product(pos, neg, image(u, ctx, mask), image(v, ctx, mask), 1)
     candidates = table.leads.get(_multidegree(u, v, ctx), [])
 
     steps: list[tuple[tuple[PluckerVar, PluckerVar], int]] = []
@@ -367,7 +314,7 @@ def subduct(
         if not net:
             continue
         u, v = table.lead_pairs[lead]
-        image_u, image_v = signed_image(u, ctx, mask), signed_image(v, ctx, mask)
+        image_u, image_v = image(u, ctx, mask), image(v, ctx, mask)
         lead_u, lead_v = _lead(image_u), _lead(image_v)
         if not (lead_u and lead_v):
             halt = lead, v if lead_u else u
@@ -388,8 +335,8 @@ def subduct(
         raise InternalInconsistencyError(f"zero image for {halt[1]!r}")
     done = bisect.bisect_left(taken, first)
     for (u, v), step in steps[done:]:
-        _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), step)
-    unpack = x_packer(ctx).unpack
+        _count_product(pos, neg, image(u, ctx, mask), image(v, ctx, mask), step)
+    unpack = polyring.x_packer(ctx).unpack
     remainder = Polynomial({unpack(w): c for w, c in _net(pos, neg).items()})
     return SubductionTrace(steps[:done], remainder, witness=unpack(first))
 
@@ -515,7 +462,7 @@ def kernel_quadrics_oracle(
     All products of two generator images are expanded and the relations
     among them solved exactly, grouped by the (column multiset, shift sum)
     multidegree under which the kernel splits (the diagonal blocks of a
-    Macaulay matrix).  The images are signed_image under the
+    Macaulay matrix).  The images are maps.signed_image under the
     interval_mask, and each product is counted by _count_product, as in
     subduction, and read off by _net as a dict x_packer int -> coefficient;
     all products in a group have degree 2p, where int order is the reverse
@@ -542,10 +489,11 @@ def kernel_quadrics_oracle(
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
+    image = maps.signed_image
     groups: dict[int, list[tuple[PluckerVar, PluckerVar]]] = {}
     for u, v in itertools.combinations_with_replacement(elems, 2):
         groups.setdefault(_multidegree(u, v, ctx), []).append((u, v))
-    leads = {u: lead[0] for u in elems if (lead := _lead(signed_image(u, ctx, mask)))}
+    leads = {u: lead[0] for u in elems if (lead := _lead(image(u, ctx, mask)))}
     relations: dict[Mono, Polynomial] = {}
     for pairs in groups.values():
         # a pair with a zero image has no lead, so its group is never skipped
@@ -555,7 +503,7 @@ def kernel_quadrics_oracle(
         for u, v in pairs:
             pos: dict = {}
             neg: dict = {}
-            _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
+            _count_product(pos, neg, image(u, ctx, mask), image(v, ctx, mask), 1)
             rows.append(_net(pos, neg))
         for combo in linalg.nullspace(rows, operator.neg):
             relations[_pair_mono(*pairs[max(combo)])] = Polynomial(

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from qgrass.lattice import Context
-from qgrass import maps, straighten
+from qgrass import maps, polyring, straighten
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -23,8 +23,19 @@ def gb333(ctx333):
     return straighten.reduced_groebner(ctx333)
 
 
+def reference_image(u, ctx, mask=maps.EMPTY_MASK):
+    """Reference: the masked generator image of u as the sum of polyring.det
+    over maps.image_blocks, the expansion generator_image made before it
+    unpacked maps.signed_image.  Uncached, so a patch of image_blocks
+    reaches it."""
+    image = polyring.Polynomial.zero()
+    for block in maps.image_blocks(u, ctx, mask):
+        image = image + polyring.det(block)
+    return image
+
+
 def clear_image_caches():
-    straighten.signed_image.cache_clear()
+    maps.signed_image.cache_clear()
     maps.generator_image.cache_clear()
 
 

@@ -159,6 +159,14 @@ def test_mask_paths_stdout_sha256(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_chi_stdout_sha256():
+    # chi is the one command whose output still runs through polyring.det
+    code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "chi", "156^1")
+    assert code == 0
+    digest = "f0b1bb97166114ceb82be9d6ff37ecb1920cc9b1c73ce707c34eabd85df4a5f6"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_schubert_images():
     code, out = run_cli(
         "--p", "3", "--m", "3", "--n", "1", "--compact",

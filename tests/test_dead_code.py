@@ -2,7 +2,9 @@
 
 A definition whose name appears on no line of src/ or tests/ other than the
 line that defines it is dead: nothing calls it, and no test holds it as a
-reference.  Dunder methods are exempt, since the language calls them.
+reference.  A definition named on no other line of src/ is used by the
+tests alone; that set is pinned, so it may shrink but not grow.  Dunder
+methods are exempt, since the language calls them.
 """
 
 import ast
@@ -27,18 +29,45 @@ def definitions(path):
                     yield child.name, child.lineno
 
 
-def test_every_definition_is_referenced():
-    # the number of lines of src/ and tests/ on which each word appears
+# the definitions that only the tests call (ROADMAP item 18)
+TEST_ONLY = {
+    "is_standard",
+    "standardize",
+    "column_multisets",
+    "young_image",
+    "leading_term",
+    "parse_text",
+    "parse_json",
+    "hibi_binomial",
+    "standard_monomials",
+    "factor_initial",
+    "weight_initial_r",
+}
+
+
+def named_once(paths):
+    """name -> "path:line name" of each non-dunder definition under src/
+    whose name appears on no line of paths other than its own."""
+    # the number of lines of paths on which each word appears
     lines_with = Counter(
         word
-        for path in SOURCES + TESTS
+        for path in paths
         for line in path.read_text().splitlines()
         for word in set(re.findall(r"\w+", line))
     )
-    orphans = [
-        f"{path.relative_to(ROOT)}:{lineno} {name}"
+    return {
+        name: f"{path.relative_to(ROOT)}:{lineno} {name}"
         for path in SOURCES
         for name, lineno in definitions(path)
         if not (name.startswith("__") and name.endswith("__")) and lines_with[name] < 2
-    ]
+    }
+
+
+def test_every_definition_is_referenced():
+    orphans = named_once(SOURCES + TESTS).values()
     assert not orphans, "defined but never referenced: " + ", ".join(orphans)
+
+
+def test_no_new_definition_is_used_by_the_tests_alone():
+    new = [where for name, where in named_once(SOURCES).items() if name not in TEST_ONLY]
+    assert not new, "named on no other line of src/: " + ", ".join(new)

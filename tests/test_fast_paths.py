@@ -11,9 +11,11 @@ replaced, kept here as the reference.
   per-element ints; the reference is the (sorted columns, shift sum)
   tuple, mapped to the same int layout by md_key where a test needs the
   table's key.
-- signed_image expands maps.image_blocks on packed ints itself; the
-  reference packs each term of the Polynomial generator_image
-  (packed_image), as signed_image did before.
+- maps.signed_image expands maps.image_blocks on packed ints, and
+  generator_image is that packed image unpacked; the reference sums
+  polyring.det over the same blocks (conftest.reference_image, the body
+  generator_image had before) and packs each term (packed_image), as
+  signed_image did before.
 - TermOrder.key ranks monomials; the references are TermOrder.compare and
   the dense degrevlex key over a fixed variable list that exact
   elimination used before it took TermOrder.key.
@@ -35,7 +37,7 @@ replaced, kept here as the reference.
 - kernel_quadrics_oracle builds its rows from the same counted image
   products, eliminates only the groups whose product leads collide and
   reads the reduced basis off their nullspaces; the reference multiplies
-  the generator images as Polynomials, eliminates every group and reduces
+  the reference images as Polynomials, eliminates every group and reduces
   all relations again in a second elimination.
 - reduced_groebner reads its quadrics off one subduction pass over the
   incomparable pairs; the reference calls straightening_relation on each
@@ -43,6 +45,7 @@ replaced, kept here as the reference.
 """
 
 import copy
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -56,7 +59,7 @@ except ImportError:  # the property tests skip; the differential tests still run
 
 needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
-from qgrass import lattice, linalg, maps, polyring, straighten
+from qgrass import cli, lattice, linalg, maps, polyring, straighten
 from qgrass.errors import (
     DomainError,
     InternalInconsistencyError,
@@ -64,7 +67,8 @@ from qgrass.errors import (
     NotInInitialAlgebraError,
 )
 from qgrass.lattice import Context, YoungSeq, elements, incomparable_pairs, parse_var
-from qgrass.polyring import Polynomial, X_ORDER, XVar, c_order, mono_from_pairs
+from qgrass.maps import signed_image
+from qgrass.polyring import Polynomial, X_ORDER, XVar, c_order, mono_from_pairs, x_packer
 from qgrass.straighten import (
     SubductionTrace,
     _count_product,
@@ -74,15 +78,13 @@ from qgrass.straighten import (
     kernel_quadrics_oracle,
     reduced_groebner,
     sagbi_check,
-    signed_image,
     standard_monomials,
     straightening_relation,
     subduct,
     subduction_table,
-    x_packer,
 )
 
-from conftest import clear_image_caches
+from conftest import clear_image_caches, reference_image
 from test_lattice import LADDER
 from test_polyring import level_sum, mono_div
 
@@ -348,7 +350,7 @@ def subduct_polynomial(f, ctx, interval=None):
     lead_coeff = {}
 
     def image(u):
-        return maps.generator_image(u, ctx, table.mask)
+        return reference_image(u, ctx, table.mask)
 
     def lc(u):
         if u not in lead_coeff:
@@ -388,7 +390,7 @@ def assert_same_trace(fast, ref):
 
 def assert_subducts_like_reference(u, v, ctx, interval=None):
     mask = subduction_table(ctx, interval).mask
-    f = maps.generator_image(u, ctx, mask) * maps.generator_image(v, ctx, mask)
+    f = reference_image(u, ctx, mask) * reference_image(v, ctx, mask)
     assert_same_trace(subduct((u, v), ctx, interval), subduct_polynomial(f, ctx, interval))
 
 
@@ -486,8 +488,11 @@ def with_a_term_repeated(blocks, ctx, term):
 
 
 @pytest.mark.parametrize("term", [0, -1], ids=["lead", "trailing"])
-def test_signed_image_refuses_a_coefficient_other_than_one(monkeypatch, fresh_images, term):
-    # a lead of 2 would make a step a Fraction; the guard covers every term
+def test_signed_image_refuses_a_coefficient_other_than_one(
+    monkeypatch, fresh_images, capsys, term
+):
+    # a lead of 2 would make a step a Fraction; the guard covers every term,
+    # and reaches phi, which unpacks signed_image: the CLI fails with exit 2
     ctx = Context(2, 2, 1, 2)
     u, v = incomparable_pairs(ctx)[0]
     mask = interval_mask(ctx, None)
@@ -503,6 +508,14 @@ def test_signed_image_refuses_a_coefficient_other_than_one(monkeypatch, fresh_im
         signed_image(u, ctx, mask)
     with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
         subduct((u, v), ctx)
+    with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
+        maps.generator_image(u, ctx)
+    with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
+        maps.phi(u, ctx)
+    out = io.StringIO()
+    assert cli.run(["--p", "2", "--m", "2", "--n", "1", "phi", "12^1"], out=out) == 2
+    assert out.getvalue() == ""
+    assert "at a repeated term" in capsys.readouterr().err
 
 
 def test_signed_image_refuses_a_repeated_term(monkeypatch, fresh_images):
@@ -512,7 +525,7 @@ def test_signed_image_refuses_a_repeated_term(monkeypatch, fresh_images):
     packer = x_packer(ctx)
     blind = copy.copy(packer)
     blind.offsets = {v: packer.offsets[v._replace(level=0)] for v in packer.offsets}
-    monkeypatch.setattr(straighten, "x_packer", lambda c: blind)
+    monkeypatch.setattr(polyring, "x_packer", lambda c: blind)
     with pytest.raises(
         InternalInconsistencyError, match=r"has a coefficient -?2, not 1 or -1, at a repeated term"
     ):
@@ -540,7 +553,7 @@ def packed_image(u, ctx, mask):
     """Reference: the masked generator image of u as sorted (x_packer int,
     coefficient) terms, leading term (the smallest int) first."""
     pack = x_packer(ctx).pack
-    return sorted((pack(m), c) for m, c in maps.generator_image(u, ctx, mask).terms.items())
+    return sorted((pack(m), c) for m, c in reference_image(u, ctx, mask).terms.items())
 
 
 def signed_image_reference(u, ctx, mask):
@@ -560,6 +573,7 @@ def test_signed_image_matches_packed_generator_image(params):
     for mask in masks:
         for u in elements(ctx):
             assert signed_image(u, ctx, mask) == signed_image_reference(u, ctx, mask)
+            assert maps.generator_image(u, ctx, mask) == reference_image(u, ctx, mask)
 
 
 # -- the walk against the running-minimum loop ---------------------------------
@@ -739,7 +753,7 @@ def kernel_quadrics_oracle_polynomial(ctx, interval=None):
     as it was before it read the subduction table's packed images."""
     elems = elements(ctx, interval)
     mask = interval_mask(ctx, interval)
-    images = {u: maps.generator_image(u, ctx, mask) for u in elems}
+    images = {u: reference_image(u, ctx, mask) for u in elems}
     groups = {}
     for i, u in enumerate(elems):
         for v in elems[i:]:
@@ -843,7 +857,7 @@ def test_count_product_matches_polynomial_product():
     mask = interval_mask(ctx, None)
     unpack = x_packer(ctx).unpack
     for u, v in itertools.combinations_with_replacement(elements(ctx), 2):
-        product = maps.generator_image(u, ctx, mask) * maps.generator_image(v, ctx, mask)
+        product = reference_image(u, ctx, mask) * reference_image(v, ctx, mask)
         a, b = signed_image(u, ctx, mask), signed_image(v, ctx, mask)
         for c in (1, -1, 2, -3):
             pos, neg = {}, {}

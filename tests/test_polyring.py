@@ -262,13 +262,15 @@ def assert_signed_terms(f):
 
 
 @pytest.mark.parametrize("ctx", DIFF_CONTEXTS, ids=str)
-def test_generator_image_matches_cofactor_reference(ctx):
+def test_generator_image_matches_cofactor_reference(ctx, monkeypatch):
     elems = lattice.elements(ctx)
     masks = [maps.EMPTY_MASK]
     masks += [maps.schubert_mask(ctx, u) for u in elems]
     masks += interval_masks(ctx, 20, seed=sum(ctx))
-    # uncached, so the ~20k images at (3,3,2,6) are not kept; elements
-    # sorted by columns, so each reference minor is expanded once per mask
+    # uncached, signed images included, so the ~20k images at (3,3,2,6)
+    # are not kept; elements sorted by columns, so each reference minor is
+    # expanded once per mask
+    monkeypatch.setattr(maps, "signed_image", maps.signed_image.__wrapped__)
     build = maps.generator_image.__wrapped__
     for mask in masks:
         for u in sorted(elems, key=lambda u: u.cols):

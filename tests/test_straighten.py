@@ -189,7 +189,7 @@ def test_subduct_lead_check_fires(ctx333, monkeypatch):
     table = straighten.subduction_table(ctx333)
     trace = subduct(GAMMA_DELTA, ctx333)
     (u, v), _ = trace.steps[0]
-    pack = straighten.x_packer(ctx333).pack
+    pack = polyring.x_packer(ctx333).pack
     lead = pack(maps.psi(u, ctx333)) + pack(maps.psi(v, ctx333))
     doctored = table._replace(lead_pairs={**table.lead_pairs, lead: trace.steps[1][0]})
     monkeypatch.setattr(straighten, "subduction_table", lambda ctx, interval=None: doctored)
