@@ -305,28 +305,25 @@ def standardize(t: Tableau, ctx: Optional[Context] = None) -> Tableau:
 
     Each pass replaces an adjacent offending pair by its meet and join,
     which preserves the multiset of entries in every skew column and the
-    multiset of row shifts.  Terminates because the position-weighted rank
-    sum strictly decreases with every swap.
+    multiset of row shifts.  Terminates: a swap replaces rows (a, b) at
+    positions (i, i+1), with a not below b, by (meet, join), where
+    rank(meet) + rank(join) = rank(a) + rank(b) and meet < a.  So the
+    position-weighted rank sum sum_i i*rank(row_i) strictly increases with
+    every swap, and it is bounded.
     """
     if ctx is not None:
         for row in t:
             validate_var(row, ctx)
     rows = list(t)
-    if not rows:
-        return ()
-    w = ctx.width if ctx is not None else max(r.cols[-1] for r in rows)
-    maxrank = max(r.shift * w + sum(r.cols) for r in rows)
-    limit = len(rows) ** 2 * (maxrank + 1) + 2
-    for _ in range(limit):
+    changed = True
+    while changed:
         changed = False
         for i in range(len(rows) - 1):
             pair = meet_join(rows[i], rows[i + 1])
             if pair != (rows[i], rows[i + 1]):
                 rows[i], rows[i + 1] = pair
                 changed = True
-        if not changed:
-            return tuple(rows)
-    raise InvalidInputError("standardization did not terminate")
+    return tuple(rows)
 
 
 def column_multisets(t: Tableau) -> dict[int, tuple[int, ...]]:

@@ -47,8 +47,8 @@ def stacked_level(c: int, width: int) -> int:
 
 def phi(u: PluckerVar, ctx: Context) -> Polynomial:
     """Coefficient of t^a in the maximal minor on columns alpha: the unmasked
-    generator_image."""
-    return generator_image(u, ctx)
+    generator_image, cached under the key that apply_hom and schubert use."""
+    return generator_image(u, ctx, EMPTY_MASK)
 
 
 def psi(u: PluckerVar, ctx: Context) -> Mono:

@@ -107,9 +107,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -160,9 +157,6 @@ class Polynomial:
         for _ in range(e):
             acc = acc * self
         return acc
-
-    def coefficient(self, mono: Mono) -> Coeff:
-        return self.terms.get(mono, 0)
 
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"

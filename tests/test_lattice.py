@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qgrass import lattice
@@ -356,3 +358,87 @@ def test_p1_degenerate_chain():
     assert incomparable_pairs(ctx) == []
     ctx2 = Context(1, 3, 2, 2)
     assert count_maximal_chains(ctx2) == 1
+
+
+# -- quantum Monk: the covers against quantum Schubert calculus ---------------
+
+
+def partition(u, ctx):
+    """The partition lambda_i = alpha_{p+1-i} - (p+1-i) of u's columns, in a
+    p x m box."""
+    p = ctx.p
+    return tuple(u.cols[p - i] - (p + 1 - i) for i in range(1, p + 1))
+
+
+def from_partition(lam, a):
+    """The element alpha^a with alpha_j = lambda_{p+1-j} + j."""
+    p = len(lam)
+    return PluckerVar(tuple(lam[p - j] + j for j in range(1, p + 1)), a)
+
+
+def quantum_monk(u, ctx):
+    """The terms of sigma_1 * q^a sigma_lambda by Bertram's quantum Monk rule:
+    lambda with one box added in every legal way, and q^(a+1)
+    sigma_(lambda_2 - 1, ..., lambda_p - 1, 0) when lambda_1 = m,
+    lambda_p >= 1 and a < q."""
+    lam, a = partition(u, ctx), u.shift
+    terms = [
+        from_partition(lam[:i] + (lam[i] + 1,) + lam[i + 1 :], a)
+        for i in range(ctx.p)
+        if lam[i] < (ctx.m if i == 0 else lam[i - 1])
+    ]
+    if lam[0] == ctx.m and lam[-1] >= 1 and a < ctx.q:
+        terms.append(from_partition(tuple(x - 1 for x in lam[1:]) + (0,), a + 1))
+    return terms
+
+
+def monk_degree(u, ctx):
+    """a(m+p) + |lambda|, which every quantum Monk term raises by one."""
+    return u.shift * ctx.width + sum(partition(u, ctx))
+
+
+@pytest.mark.parametrize("params", LADDER + [(4, 4, 1, 4)])
+def test_elements_are_the_partitions_in_the_box(params):
+    ctx = Context(*params)
+    boxed = {
+        (lam[::-1], a)
+        for lam in itertools.combinations_with_replacement(range(ctx.m + 1), ctx.p)
+        for a in range(ctx.q + 1)
+    }
+    elems = elements(ctx)
+    assert {(partition(u, ctx), u.shift) for u in elems} == boxed
+    assert len(elems) == len(boxed)
+    assert all(from_partition(partition(u, ctx), u.shift) == u for u in elems)
+
+
+@pytest.mark.parametrize("params", LADDER + [(4, 4, 1, 4)])
+def test_covers_are_the_quantum_monk_graph(params):
+    ctx = Context(*params)
+    by_rank = {}
+    for u in elements(ctx):
+        by_rank.setdefault(rank(u, ctx), []).append(u)
+    covers = {
+        (u, v) for r in by_rank for u in by_rank[r] for v in by_rank.get(r + 1, ()) if leq(u, v)
+    }
+    assert covers == {(u, v) for u in elements(ctx) for v in quantum_monk(u, ctx)}
+
+
+@pytest.mark.parametrize("params,intervals", [((2, 2, 1, 2), 166), ((2, 3, 1, 2), 440)])
+def test_monk_paths_count_the_maximal_chains_of_every_interval(params, intervals):
+    ctx = Context(*params)
+    elems = elements(ctx)
+    ascending = sorted(elems, key=lambda u: monk_degree(u, ctx))
+    seen = 0
+    for u in elems:
+        paths = dict.fromkeys(elems, 0)
+        paths[u] = 1
+        for v in ascending:
+            for w in quantum_monk(v, ctx):
+                paths[w] += paths[v]
+        for v in elems:
+            if leq(u, v):
+                seen += 1
+                assert paths[v] == count_maximal_chains(ctx, (u, v))
+            else:
+                assert paths[v] == 0
+    assert seen == intervals

@@ -7,6 +7,7 @@ from qgrass.errors import DomainError, InvalidInputError
 from qgrass.lattice import Context, PluckerVar, YoungSeq, elements, leq, parse_var, to_young
 from qgrass import lattice, polyring
 from qgrass.maps import (
+    EMPTY_MASK,
     apply_hom,
     chi,
     epsilon,
@@ -42,6 +43,16 @@ def test_phi_bottom_is_level_zero_minor(ctx333):
 def test_phi_shift_above_np():
     with pytest.raises(DomainError):
         phi(PluckerVar((1, 2, 3), 4), Context(3, 3, 1, 3))
+
+
+def test_phi_and_the_masked_callers_share_one_cache_entry(ctx333, fresh_images):
+    # apply_hom and schubert pass the mask positionally; phi must key its
+    # image the same way, or lru_cache stores the one image twice
+    u = parse_var("456^2")
+    phi(u, ctx333)
+    generator_image(u, ctx333, EMPTY_MASK)
+    info = generator_image.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_psi_closed_form_examples(ctx333):

@@ -109,6 +109,13 @@ def test_scalar_and_fraction_normalization():
     assert g == x
 
 
+def test_polynomial_is_unhashable():
+    # a Polynomial is mutable, and generator_image's cache hands one
+    # instance to every caller, so a hash of it could go stale
+    with pytest.raises(TypeError):
+        hash(Polynomial())
+
+
 def test_mono_div():
     a = mono(XVar(1, 1, 0), XVar(1, 2, 0))
     b = mono(XVar(1, 1, 0))
