@@ -2,17 +2,18 @@
 
 Rows are dicts from hashable column labels to nonzero coefficients; a key
 function orders the columns, and every row pivots on its largest column.
-One incremental eliminator supports rank, reduction against a basis,
-nullspace extraction, and solving for a vector inside a span.  Integer
-entries stay int: a row is made monic by multiplying with its lead when
-that lead is 1 or -1, and a Fraction appears only for any other lead.
+One incremental eliminator supports reduction against a basis, nullspace
+extraction, and solving for a vector inside a span; rank_of only counts
+pivots, by a lead-first echelon pass with no tags.  Integer entries stay
+int: a row is made monic by multiplying with its lead when that lead is 1
+or -1, and a Fraction appears only for any other lead.
 
-The stored basis is kept in reduced row-echelon form: every pivot column
-appears in exactly one stored row, its own, with coefficient 1, and it is
-that row's largest column.  Eliminating a pivot column therefore brings in
-no other pivot column, so a row is fully reduced by one pass over the
-pivot columns it holds, in any order (Cox, Little and O'Shea, *Ideals,
-Varieties, and Algorithms*, ch. 2).
+The eliminator's stored basis is kept in reduced row-echelon form: every
+pivot column appears in exactly one stored row, its own, with coefficient
+1, and it is that row's largest column.  Eliminating a pivot column
+therefore brings in no other pivot column, so a row is fully reduced by
+one pass over the pivot columns it holds, in any order (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).
 """
 
 from __future__ import annotations
@@ -96,10 +97,33 @@ class Eliminator:
 
 
 def rank_of(rows: list[dict], col_key: Callable) -> int:
-    elim = Eliminator(col_key)
+    """Rank of the rows by an echelon count, with no tags.
+
+    Each row is reduced lead first: while its largest column is the pivot
+    of a stored row, that row's multiple is subtracted; a nonzero residual
+    is stored, monic, as the pivot row of its largest column.  Stored rows
+    are never reduced further, so a pivot column may still appear in other
+    stored rows, below their leads.  A row lies in the span of the rows before it iff its
+    reduction ends at zero: every step subtracts a stored row, and a
+    nonzero residual leads with a column that no stored row leads with, so
+    it is independent of them (distinct pivots).  The count is the rank
+    whatever reduced form the stored rows have, so no back-substitution is
+    done; the column key is called once per column.
+    """
+    keys = {c: col_key(c) for c in {c for r in rows for c in r}}
+    pivots: dict = {}  # pivot column -> monic row led by it
     for r in rows:
-        elim.add(r)
-    return elim.rank
+        row = dict(r)
+        while row:
+            c = max(row, key=keys.__getitem__)
+            base = pivots.get(c)
+            if base is None:
+                lead = row[c]
+                inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
+                pivots[c] = row if lead == 1 else {k: v * inv for k, v in row.items()}
+                break
+            _add_scaled(row, base, -row[c])
+    return len(pivots)
 
 
 def nullspace(rows: list[dict], col_key: Callable) -> list[dict]:

@@ -57,6 +57,13 @@ def mono_from_pairs(pairs: Iterable[tuple]) -> Mono:
     return tuple(sorted((v, e) for v, e in acc.items() if e))
 
 
+def pair_mono(u, v) -> Mono:
+    """The degree-2 monomial u*v, as mono_from_pairs([(u, 1), (v, 1)]) gives it."""
+    if u == v:
+        return ((u, 2),)
+    return ((u, 1), (v, 1)) if u < v else ((v, 1), (u, 1))
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b

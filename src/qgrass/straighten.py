@@ -54,10 +54,6 @@ class SubductionTrace(NamedTuple):
     witness: Optional[Mono] = None
 
 
-def _pair_mono(u: PluckerVar, v: PluckerVar) -> Mono:
-    return polyring.mono_from_pairs([(u, 1), (v, 1)])
-
-
 def interval_mask(ctx: Context, interval: Optional[Interval]) -> SpecMask:
     """Zero pattern for the generator images used by the straightening layer.
 
@@ -83,7 +79,7 @@ def hibi_binomial(u: PluckerVar, v: PluckerVar, ctx: Context) -> Quadric:
     if not lattice.incomparable(u, v):
         raise InvalidInputError(f"{u!r} and {v!r} are comparable")
     meet, join = lattice.meet_join(u, v)
-    poly = Polynomial({_pair_mono(u, v): 1, _pair_mono(meet, join): -1})
+    poly = Polynomial({polyring.pair_mono(u, v): 1, polyring.pair_mono(meet, join): -1})
     return Quadric(poly, (u, v))
 
 
@@ -357,9 +353,9 @@ def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Qu
         raise InternalInconsistencyError(
             f"first subduction step is not the meet/join pair for ({gamma!r}, {delta!r})"
         )
-    terms = {_pair_mono(gamma, delta): 1}
+    terms = {polyring.pair_mono(gamma, delta): 1}
     for (u, v), c in trace.steps:
-        m = _pair_mono(u, v)
+        m = polyring.pair_mono(u, v)
         terms[m] = terms.get(m, 0) - c
     poly = Polynomial(terms)
     for (u, v), _ in trace.steps[1:]:
@@ -486,6 +482,11 @@ def kernel_quadrics_oracle(
     nullspace is empty (distinct pivots, as in a Macaulay matrix).  A zero
     image gives a zero row, itself a kernel vector, so a group holding one
     is always eliminated.
+
+    The relations are ordered by position: each is keyed by the canonical
+    positions (i, j), i <= j, of its lead pair, and the keys descend.  That
+    is descending c_order, since linear keys ascend with position and
+    degrevlex on degree-2 words is lexicographic.
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
@@ -494,7 +495,8 @@ def kernel_quadrics_oracle(
     for u, v in itertools.combinations_with_replacement(elems, 2):
         groups.setdefault(_multidegree(u, v, ctx), []).append((u, v))
     leads = {u: lead[0] for u in elems if (lead := _lead(image(u, ctx, mask)))}
-    relations: dict[Mono, Polynomial] = {}
+    at = {u: i for i, u in enumerate(elems)}
+    relations: dict[tuple[int, int], Polynomial] = {}
     for pairs in groups.values():
         # a pair with a zero image has no lead, so its group is never skipped
         if len({leads[u] + leads[v] for u, v in pairs if u in leads and v in leads}) == len(pairs):
@@ -506,7 +508,8 @@ def kernel_quadrics_oracle(
             _count_product(pos, neg, image(u, ctx, mask), image(v, ctx, mask), 1)
             rows.append(_net(pos, neg))
         for combo in linalg.nullspace(rows, operator.neg):
-            relations[_pair_mono(*pairs[max(combo)])] = Polynomial(
-                {_pair_mono(*pairs[i]): c for i, c in combo.items()}
+            u, v = pairs[max(combo)]
+            relations[at[u], at[v]] = Polynomial(
+                {polyring.pair_mono(*pairs[i]): c for i, c in combo.items()}
             )
-    return [relations[m] for m in sorted(relations, key=polyring.c_order(ctx).key, reverse=True)]
+    return [relations[ij] for ij in sorted(relations, reverse=True)]

@@ -98,7 +98,7 @@ def skew_syzygy_w(t: lattice.Tableau, ctx: Context) -> Polynomial:
         s2, upper = sort_signed(head + tuple(pool[k] for k in rest), a)
         if upper is None:
             continue
-        mono = polyring.mono_from_pairs([(upper, 1), (lower, 1)])
+        mono = polyring.pair_mono(upper, lower)
         acc[mono] = acc.get(mono, 0) + sign * s1 * s2
     return Polynomial(acc)
 
@@ -141,18 +141,12 @@ def coefficient_relations(ctx: Context) -> list[Polynomial]:
     for quad in classical:
         graded: dict[int, dict] = {}
         for mono, c in quad.poly.terms.items():
-            factors = []
-            for var, e in mono:
-                factors.extend([var] * e)
-            x, y = factors
-            for cx in range(ctx.q + 1):
-                for cy in range(ctx.q + 1):
-                    lifted = polyring.mono_from_pairs(
-                        [
-                            (PluckerVar(x.cols, cx), 1),
-                            (PluckerVar(y.cols, cy), 1),
-                        ]
-                    )
+            x, y = [var for var, e in mono for _ in range(e)]
+            lifted_x = [PluckerVar(x.cols, a) for a in range(ctx.q + 1)]
+            lifted_y = [PluckerVar(y.cols, a) for a in range(ctx.q + 1)]
+            for cx, lx in enumerate(lifted_x):
+                for cy, ly in enumerate(lifted_y):
+                    lifted = polyring.pair_mono(lx, ly)
                     layer = graded.setdefault(cx + cy, {})
                     layer[lifted] = layer.get(lifted, 0) + c
         for r in range(2 * ctx.q + 1):

@@ -25,6 +25,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 PINS = [
+    ("--p 2 --m 3 --q 1 degree", 0,
+     "4c82a221b575ce7fe118b2e8cdf0764bf4ef570a3017e80b6d3438af9095f376"),
+    ("--p 1 --m 1 --q 0 poset list", 0,
+     "30599e1bc5cba3224647d7a7568b9f56dc5c1c1538a7f633114657b97604b42f"),
+    ("--p 3 --m 4 --q 2 poset rank 235^2", 0,
+     "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60"),
     ("--p 3 --m 3 --n 1 --q 3 groebner", 0,
      "539a66d07ecc86f778b2117eb91c148892fc20abcb859a7494957a8df8445a35"),
     ("--p 3 --m 3 --n 1 --q 3 --compact groebner --interval 124^0 356^2", 0,
@@ -35,12 +41,23 @@ PINS = [
      "e89267594303fd91bf387309faf95eddb2e2100e0131efb686d4c1c451dee240"),
     ("--p 3 --m 3 --n 1 --q 2 obvious --rank", 0,
      "55f40dfb971e6e943f03d8485b32de15705853f16ffaaa51f34647f81d2f7c8c"),
+    ("--p 3 --m 3 --q 1 obvious --rank", 0,
+     "9fedcbb8293051ae42f75286d8f6dfd991f856f60dc5da27a39ecf6a131904e5"),
+    ("--p 3 --m 3 --n 1 --q 3 obvious --rank", 0,
+     "0650205965624e51e23c8e780ce6cb6e155769036f7d49aeb412cfcd66da24fb"),
+    # 980 lifted relations through linalg.rank_of
+    ("--p 3 --m 4 --n 1 --q 3 obvious --rank", 0,
+     "faa9ed6144cbe3e015704df00f6cc38d42e5d051b1f570301e6149a7d9c23141"),
+    ("--p 2 --m 2 --n 1 sagbi-check", 0,
+     "8a6af1dbb29d00d40be2f5e0a577da477d976f431fecb75b829e698524644658"),
     # the 175 lifted relations of syzygy.coefficient_relations
     ("--p 3 --m 3 --n 1 --q 2 obvious", 0,
      "caeff51b94b07c6f2bb8c79c7d4a3e82ba5c432f1fbbc3aa72851d5f31ecbfc8"),
     # chi is the one command whose output still runs through polyring.det
     ("--p 3 --m 3 --n 1 chi 156^1", 0,
      "f0b1bb97166114ceb82be9d6ff37ecb1920cc9b1c73ce707c34eabd85df4a5f6"),
+    ("--p 3 --m 3 --n 1 psi 456^2", 0,
+     "75d882a516442b5a936cf796a6a7e4e414a1923a63299e0ec7803a3ea231069c"),
     ("--p 3 --m 3 --n 1 phi 456^2", 0, "phi_456_2.txt"),
     ("--p 3 --m 4 --n 2 pi 235^2", 0, "pi_235_2_m4.txt"),
     ("--p 3 --m 3 --n 1 schubert 235^2", 0,

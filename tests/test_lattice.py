@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -442,3 +443,38 @@ def test_monk_paths_count_the_maximal_chains_of_every_interval(params, intervals
             else:
                 assert paths[v] == 0
     assert seen == intervals
+
+
+def monk_order(ctx):
+    """The order that the quantum Monk terms generate, as bitsets over the
+    canonical positions: up[u] holds every element above u or equal to it,
+    down[u] every element below u or equal to it."""
+    elems = elements(ctx)
+    bit = {u: 1 << i for i, u in enumerate(elems)}
+    ascending = sorted(elems, key=lambda u: monk_degree(u, ctx))
+    up = dict(bit)
+    for u in reversed(ascending):
+        for w in quantum_monk(u, ctx):
+            up[u] |= up[w]
+    down = dict(bit)
+    for u in ascending:
+        for w in quantum_monk(u, ctx):
+            down[w] |= down[u]
+    return up, down
+
+
+@pytest.mark.parametrize("params", LADDER)
+def test_meet_join_are_the_bounds_in_the_monk_order(params):
+    # the greatest common lower bound g has down[g] == down[u] & down[v],
+    # since an intersection of down-sets is one; dually for the join
+    ctx = Context(*params)
+    elems = elements(ctx)
+    up, down = monk_order(ctx)
+    by_down = {d: u for u, d in down.items()}
+    by_up = {s: u for u, s in up.items()}
+    rng = random.Random(16)
+    for _ in range(300):
+        u, v = rng.choice(elems), rng.choice(elems)
+        meet, join = meet_join(u, v)
+        assert by_down.get(down[u] & down[v]) == meet, (u, v)
+        assert by_up.get(up[u] & up[v]) == join, (u, v)

@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qgrass import linalg
 from qgrass.errors import InternalInconsistencyError
@@ -308,3 +308,17 @@ def test_rows_with_distinct_leads_are_independent(case):
     key, basis_rows = case
     assert linalg.nullspace(basis_rows, key) == []
     assert linalg.rank_of(basis_rows, key) == len(basis_rows)
+
+
+# -- rank_of: the echelon count against the eliminator it replaced ---------------
+
+
+@pytest.mark.parametrize("key", COLUMN_KEYS, ids=["identity", "negated", "times 5 mod 11"])
+@CHECK
+@given(rows_with_dependencies())
+@example([{0: 2, 1: 1}, {0: 3, 1: 5}, {0: 1, 1: 3}, {1: 2, 2: -3}])
+def test_rank_of_matches_the_eliminator_rank(key, basis_rows):
+    elim = linalg.Eliminator(key)
+    for r in basis_rows:
+        elim.add(r)
+    assert linalg.rank_of(basis_rows, key) == elim.rank

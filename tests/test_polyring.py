@@ -24,6 +24,7 @@ from qgrass.polyring import (
     mono_deg,
     mono_from_pairs,
     mono_mul,
+    pair_mono,
     parse_json,
     parse_text,
 )
@@ -502,3 +503,11 @@ def test_order_multiplicative_property():
         c = mono(*rng.sample(xvars, 2))
         cmp_ab = X_ORDER.compare(a, b)
         assert X_ORDER.compare(mono_mul(a, c), mono_mul(b, c)) == cmp_ab
+
+
+@pytest.mark.parametrize("params", [(3, 3, 1, 2), (3, 3, 2, 6)])
+def test_pair_mono_matches_mono_from_pairs(params):
+    elems = lattice.elements(Context(*params))
+    for u, v in itertools.combinations_with_replacement(elems, 2):
+        for a, b in ((u, v), (v, u)):
+            assert pair_mono(a, b) == mono_from_pairs([(a, 1), (b, 1)])

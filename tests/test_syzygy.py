@@ -306,3 +306,42 @@ def test_lifted_plucker_relations_span_the_coefficient_relations(params, rank):
     assert rank_of_span(lifted, ctx) == rank
     assert rank_of_span(inherited, ctx) == rank
     assert rank_of_span(lifted + inherited, ctx) == rank
+
+
+def coefficient_relations_reference(ctx):
+    """coefficient_relations as it lifted before the degree-2 monomials were
+    written directly: fresh lifted variables and mono_from_pairs for every
+    pair (cx, cy) of shifts."""
+    classical = straighten.reduced_groebner(Context(ctx.p, ctx.m, 0, 0))
+    out = []
+    for quad in classical:
+        graded: dict = {}
+        for mono, c in quad.poly.terms.items():
+            factors = []
+            for var, e in mono:
+                factors.extend([var] * e)
+            x, y = factors
+            for cx in range(ctx.q + 1):
+                for cy in range(ctx.q + 1):
+                    lifted = mono_from_pairs(
+                        [(PluckerVar(x.cols, cx), 1), (PluckerVar(y.cols, cy), 1)]
+                    )
+                    layer = graded.setdefault(cx + cy, {})
+                    layer[lifted] = layer.get(lifted, 0) + c
+        for r in range(2 * ctx.q + 1):
+            f = Polynomial(graded.get(r, {}))
+            if f:
+                out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("params", [(3, 3, 1, 2), (2, 2, 2, 4), (3, 3, 1, 3), (3, 4, 1, 3)])
+def test_coefficient_relations_match_the_mono_from_pairs_lift(params):
+    ctx = Context(*params)
+
+    def typed_terms(polys):
+        return [[(m, type(c), c) for m, c in f.terms.items()] for f in polys]
+
+    assert typed_terms(coefficient_relations(ctx)) == typed_terms(
+        coefficient_relations_reference(ctx)
+    )
