@@ -27,7 +27,13 @@ def reference_image(u, ctx, mask=maps.EMPTY_MASK):
     """Reference: the masked generator image of u as the sum of polyring.det
     over maps.image_blocks, the expansion generator_image made before it
     unpacked maps.signed_image.  Uncached, so a patch of image_blocks
-    reaches it."""
+    reaches it.
+
+    Its callers are in tests/test_fast_paths.py: packed_image (and through
+    it signed_image_reference and subduct_running_minimum),
+    test_signed_image_matches_packed_generator_image,
+    test_count_product_matches_polynomial_product and
+    kernel_quadrics_oracle_polynomial."""
     image = polyring.Polynomial.zero()
     for block in maps.image_blocks(u, ctx, mask):
         image = image + polyring.det(block)
