@@ -3,8 +3,9 @@
 Identical invocations produce identical bytes: the canonical term orders
 and the canonical linear extension fix every output, and no timestamps or
 environment lookups are involved.  Exit codes: 0 on success, 1 on usage
-errors, 2 on mathematical failure (nonzero subduction remainder or a
-lifted syzygy without its requested initial form).
+errors and when the reader closes stdout, 2 on mathematical failure
+(nonzero subduction remainder or a lifted syzygy without its requested
+initial form).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import json
 import locale  # argparse's gettext imports it at the first parser build; pay that at start-up
+import os
 import sys
 from typing import Optional
 
@@ -296,7 +298,15 @@ def _dispatch(args, ctx: Context, out) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's final flush does not fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -377,6 +377,7 @@ _XVAR_RE = re.compile(r"^x\[([0-9]+),([0-9]+),([0-9]+)\]$")
 _JVAR_RE = re.compile(r"^\(([0-9]+(?:,[0-9]+)*)\)$")
 
 
+@functools.lru_cache(maxsize=None)  # the emitters ask once per factor of every term
 def format_variable(v, kind: str, compact: bool = False) -> str:
     if kind == "X":
         return "x[%d,%d,%d]" % (v.row, v.col, v.level)

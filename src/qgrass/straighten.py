@@ -122,12 +122,16 @@ class SubductionTable(NamedTuple):
     leads: per multidegree (keyed by the _multidegree int), the keys of
     lead_pairs whose pairs lie in it, in ascending order: the candidate
     leading terms that subduct walks, one per standard pair of the
-    multidegree.
+    multidegree;
+    incomparable: the other pairs of the same walk, those with u not <= v,
+    in canonical order: lattice.incomparable_pairs, without a second pass
+    over the pairs.
     """
 
     mask: SpecMask
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]]
     leads: dict[int, list[int]]
+    incomparable: list[tuple[PluckerVar, PluckerVar]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,6 +167,7 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
     leads = {u: pack(maps.psi(u, ctx)) for u in elems}
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
     by_md: dict[int, list[int]] = {}
+    incomparable: list[tuple[PluckerVar, PluckerVar]] = []
     for u, v in itertools.combinations_with_replacement(elems, 2):
         if lattice.leq(u, v):
             lead = leads[u] + leads[v]
@@ -173,9 +178,11 @@ def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionT
                 )
             lead_pairs[lead] = (u, v)
             by_md.setdefault(_multidegree(u, v, ctx), []).append(lead)
+        else:
+            incomparable.append((u, v))
     for md_leads in by_md.values():
         md_leads.sort()
-    return SubductionTable(interval_mask(ctx, interval), lead_pairs, by_md)
+    return SubductionTable(interval_mask(ctx, interval), lead_pairs, by_md, incomparable)
 
 
 def _lead(image: SignedImage) -> Optional[tuple[int, int]]:
@@ -194,22 +201,21 @@ def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> N
     negative terms of a packed polynomial, which _net reads off them.
 
     The product's positive terms are the sums of same-sign terms of a and
-    b, its negative terms those of opposite signs.  With |c| == 1 they are
-    counted by collections._count_elements, the C loop behind
-    Counter.update, on the plain dicts; any other c (an integer step of 2
-    or more) is added term by term, which is already faster than two C
-    passes.
+    b, its negative terms those of opposite signs.  With |c| == 1 each
+    sign is counted in one pass of collections._count_elements, the C loop
+    behind Counter.update, on the plain dicts, over the chain of its two
+    factor products; any other c (an integer step of 2 or more) is added
+    term by term, which is already faster than two C passes.
     """
     if c < 0:
         c, pos, neg = -c, neg, pos
     (a_pos, a_neg), (b_pos, b_neg) = a, b
-    for counts, x, y in (
-        (pos, a_pos, b_pos),
-        (pos, a_neg, b_neg),
-        (neg, a_pos, b_neg),
-        (neg, a_neg, b_pos),
+    product, chain = itertools.product, itertools.chain
+    for counts, pairs in (
+        (pos, chain(product(a_pos, b_pos), product(a_neg, b_neg))),
+        (neg, chain(product(a_pos, b_neg), product(a_neg, b_pos))),
     ):
-        terms = itertools.starmap(operator.add, itertools.product(x, y))
+        terms = itertools.starmap(operator.add, pairs)
         if c == 1:
             _count_elements(counts, terms)
         else:
@@ -384,7 +390,7 @@ def _subduct_incomparable(
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
-    pairs = lattice.incomparable_pairs(ctx, interval)
+    pairs = subduction_table(ctx, interval).incomparable
     workers = min(jobs, os.cpu_count() or 1, len(pairs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: keeps start-up light

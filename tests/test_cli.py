@@ -351,6 +351,30 @@ def test_kernel_oracle_needs_no_subduction_table(fresh_tables, monkeypatch):
     assert straighten._subduction_table.cache_info().currsize == 0
 
 
+def test_jobs_are_checked_before_any_table_is_built(fresh_tables):
+    with pytest.raises(InvalidInputError, match="jobs must be >= 1"):
+        straighten.sagbi_check(Context(2, 2, 1, 2), jobs=0)
+    assert straighten._subduction_table.cache_info().currsize == 0
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the read end is closed before the child starts, so its first write
+    # fails, every time
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from qgrass.cli import main; main()"
+    argv = ["--p", "3", "--m", "3", "--n", "1", "--q", "3", "groebner"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, *argv], stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr, done.stderr.decode()
+
+
 def eager_parser():
     """The parser as built before subcommands were deferred: every one of
     the 16 parsers at once.  The reference for the deferred `build_parser`."""

@@ -39,6 +39,8 @@ the slow path it replaced, kept here.
 - reduced_groebner reads its quadrics off one subduction pass over the
   incomparable pairs; the reference calls straightening_relation on each
   pair, which validates and subducts it on its own.
+- The table lists those incomparable pairs from the walk over the pairs
+  that builds its lead_pairs; the reference is lattice.incomparable_pairs.
 """
 
 import collections
@@ -786,6 +788,16 @@ def test_subduction_table_is_one_object_however_the_interval_is_passed():
     assert subduction_table(ctx, interval=None) is table
     interval = (parse_var("12^0"), parse_var("34^1"))
     assert subduction_table(ctx, interval) is subduction_table(ctx, interval=interval)
+
+
+@pytest.mark.parametrize(
+    "ctx,interval",
+    [(Context(*params), None) for params in LADDER + [(2, 2, 2, 4), (1, 4, 2, 2)]]
+    + [(Context(3, 3, 1, 3), (parse_var(b), parse_var(t))) for b, t in INTERVALS_3313],
+)
+def test_table_lists_the_incomparable_pairs(ctx, interval):
+    # (1,4,2,2) has no incomparable pair
+    assert subduction_table(ctx, interval).incomparable == incomparable_pairs(ctx, interval)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,12 @@ previous emitters, each with its own copy of the walk, and the previous
 parser, whose factor splitter tracked a parenthesis depth.  Emission must
 match them byte for byte.  Parsing must agree with them on any text over the
 syntax's characters, except that an empty factor (a dangling or doubled
-'*'), which the reference dropped, is now refused.
+'*'), which the reference dropped, is now refused.  format_variable is
+memoized; its reference is the function under the memo,
+format_variable.__wrapped__.
 """
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -28,6 +31,7 @@ from qgrass.polyring import (
     XVar,
     emit_json,
     emit_text,
+    format_variable,
     json_doc,
     mono_from_pairs,
     order_for,
@@ -260,3 +264,27 @@ def test_parse_text_matches_reference(name):
                 assert new == ref
 
     check()
+
+
+def test_format_variable_memo_matches_the_function_under_it():
+    # every variable of the three universes at (3,3,1,3), both forms: a memo
+    # that ignored compact would hand the first form's text to the second
+    ctx = CTX333
+    universes = {
+        "X": [
+            XVar(i, j, l)
+            for i in range(1, ctx.p + 1)
+            for j in range(1, ctx.width + 1)
+            for l in range(ctx.n + 1)
+        ],
+        "C": lattice.elements(ctx),
+        "J": [
+            YoungSeq(c) for c in itertools.combinations(range(1, ctx.stacked_width + 1), ctx.p)
+        ],
+    }
+    for kind, universe in universes.items():
+        for compact in (False, True):
+            for v in universe:
+                assert format_variable(v, kind, compact) == format_variable.__wrapped__(
+                    v, kind, compact
+                )
