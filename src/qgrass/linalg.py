@@ -86,15 +86,6 @@ class Eliminator:
         self.pivots[c] = (monic, new_tag)
         return None
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def rows(self) -> list[dict]:
-        """The reduced basis rows, largest pivot first."""
-        cols = sorted(self.pivots, key=self.col_key, reverse=True)
-        return [self.pivots[c][0] for c in cols]
-
 
 def rank_of(rows: list[dict], col_key: Callable) -> int:
     """Rank of the rows by an echelon count, with no tags.

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from qgrass.lattice import Context
-from qgrass import maps, polyring, straighten
+from qgrass import maps, straighten
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -23,24 +23,10 @@ def gb333(ctx333):
     return straighten.reduced_groebner(ctx333)
 
 
-def reference_image(u, ctx, mask=maps.EMPTY_MASK):
-    """Reference: the masked generator image of u as the sum of polyring.det
-    over maps.image_blocks, the expansion generator_image made before it
-    unpacked maps.signed_image.  Uncached, so a patch of image_blocks
-    reaches it.
-
-    Its callers are in tests/test_fast_paths.py: packed_image (and through
-    it signed_image_reference and subduct_running_minimum),
-    test_signed_image_matches_packed_generator_image,
-    test_count_product_matches_polynomial_product and
-    kernel_quadrics_oracle_polynomial."""
-    image = polyring.Polynomial.zero()
-    for block in maps.image_blocks(u, ctx, mask):
-        image = image + polyring.det(block)
-    return image
-
-
 def clear_image_caches():
+    """Empty the caches of maps.signed_image and of generator_image, the
+    signed image unpacked, so that the next image of any element is built
+    from maps.image_blocks as it stands (patched or not)."""
     maps.signed_image.cache_clear()
     maps.generator_image.cache_clear()
 

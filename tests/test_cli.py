@@ -163,6 +163,13 @@ def test_identical_invocations_identical_bytes():
     assert a == b
 
 
+def test_dispatch_refuses_an_unhandled_command():
+    # argparse refuses an unknown name first, so _dispatch is called directly
+    args = argparse.Namespace(command="nonesuch")
+    with pytest.raises(InternalInconsistencyError, match="unhandled command 'nonesuch'"):
+        cli._dispatch(args, Context(2, 2, 1, 2), io.StringIO())
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["--p", "2", "degree"])  # missing --m

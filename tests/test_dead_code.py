@@ -1,12 +1,16 @@
 """Every top-level function, class and method under src/ has a user.
 
-A definition whose name is an identifier on no line of src/ or tests/ other
-than the line that defines it is dead: nothing calls it, and no test holds
-it as a reference.  Only identifiers count, so a name that appears in a
-docstring, a comment or a string is not a use.  A definition named on no
-other line of src/ is used by the tests alone; that set is pinned, so it
-may shrink but not grow.  Dunder methods are exempt, since the language
-calls them, and so is cli._Parser.error, which argparse calls.
+A top-level definition whose name is an identifier on no line of src/ or
+tests/ other than the line that defines it is dead: nothing calls it, and
+no test holds it as a reference.  Only identifiers count, so a name that
+appears in a docstring, a comment or a string is not a use.  A method is
+reached through an attribute, so it counts as used only where its name
+follows a dot on something other than a module: lattice.rank is no use of
+a method named rank, and a bare local named rows is no use of a method
+named rows.  A definition used on no other line of src/ is used by the
+tests alone; that set is pinned, so it may shrink but not grow.  Dunder
+methods are exempt, since the language calls them, and so is
+cli._Parser.error, which argparse calls.
 """
 
 import ast
@@ -14,6 +18,7 @@ import io
 import pathlib
 import tokenize
 from collections import Counter
+from importlib.util import find_spec
 
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "qgrass").glob("*.py"))
@@ -22,15 +27,15 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(path):
-    """(name, qualified name, line) of each top-level definition and each
-    method in path."""
+    """(name, qualified name, line, is a method) of each top-level
+    definition and each method in path."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, DEFINITIONS):
-            yield node.name, node.name, node.lineno
+            yield node.name, node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, DEFINITIONS):
-                    yield child.name, f"{node.name}.{child.name}", child.lineno
+                    yield child.name, f"{node.name}.{child.name}", child.lineno, True
 
 
 # called by the argparse machinery, not by name
@@ -64,19 +69,51 @@ def identifier_lines(path):
     return {(tok.string, tok.start[0]) for tok in tokens if tok.type == tokenize.NAME}
 
 
+def module_names(tree):
+    """The names that the imports of a parsed file bind to modules: a
+    from-import binds one when its base is a package with a module of that
+    name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = f"qgrass.{node.module or ''}".rstrip(".") if node.level else node.module
+            package = find_spec(base)
+            if package and package.submodule_search_locations:
+                names.update(a.asname or a.name for a in node.names if find_spec(f"{base}.{a.name}"))
+    return names
+
+
+def attribute_lines(path):
+    """(attribute, line) of each attribute access in path whose object is
+    not a module."""
+    tree = ast.parse(path.read_text())
+    modules = module_names(tree)
+    return {
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+    }
+
+
 def named_once(paths):
     """name -> "path:line qualified name" of each non-dunder definition
-    under src/ whose name is an identifier on no line of paths other than
-    its own."""
-    # the number of lines of paths on which each identifier appears
+    under src/ with no use on the lines of paths: a top-level name that is
+    an identifier on no line but its own, or a method name that follows a
+    dot, on something other than a module, on no line."""
+    # the number of lines of paths on which each identifier, and each
+    # attribute of something other than a module, appears
     lines_with = Counter(name for path in paths for name, _ in identifier_lines(path))
+    attribute_of = Counter(name for path in paths for name, _ in attribute_lines(path))
     return {
         name: f"{path.relative_to(ROOT)}:{lineno} {qualname}"
         for path in SOURCES
-        for name, qualname, lineno in definitions(path)
+        for name, qualname, lineno, method in definitions(path)
         if not (name.startswith("__") and name.endswith("__"))
         and qualname not in EXEMPT
-        and lines_with[name] < 2
+        and (not attribute_of[name] if method else lines_with[name] < 2)
     }
 
 

@@ -13,10 +13,6 @@ the slow path it replaced, kept here.
   per-element ints; the reference is the (sorted columns, shift sum)
   tuple, mapped to the same int layout by md_key where a test needs the
   table's key.
-- maps.signed_image expands maps.image_blocks on packed ints, and
-  generator_image is that packed image unpacked; the reference sums
-  polyring.det over the same blocks (conftest.reference_image) and packs
-  each term (packed_image, split by sign in signed_image_reference).
 - TermOrder.key ranks monomials; the reference is TermOrder.compare.
 - subduct walks the candidate leads of a pair's multidegree on two counts
   of int-packed terms (x_packer); the reference is the running-minimum
@@ -25,17 +21,23 @@ the slow path it replaced, kept here.
   packed_image and the Python product loop add_product.  It keeps the step
   budget the walk no longer needs.  On the unmasked images below q = n*p
   real runs fail, and both give the same witness and remainder.
+  packed_image re-packs maps.generator_image: the images themselves are
+  checked against the cofactor expansion in tests/test_polyring.py and
+  sympy's Berkowitz expansion in tests/test_sympy_reference.py, the two
+  image references that share no code with src/.
 - Packer: integer order against TermOrder.compare, and integer addition
   against mono_mul.
 - _count_product, the one product kernel, counts a product of two
   signed_image into positive and negative counts; the reference is the
-  Polynomial product of the reference images.
+  Polynomial product of the two generator_image.
 - kernel_quadrics_oracle builds its rows from the same counted image
   products, eliminates only the groups whose product leads collide and
-  reads the reduced basis off their nullspaces; the reference
-  (kernel_quadrics_oracle_polynomial) multiplies the reference images as
-  Polynomials, eliminates every group and reduces all relations again in
-  a second elimination.
+  reads the reduced basis off their nullspaces.  It has no second oracle:
+  reduced_basis_leads checks, with no elimination, what pins the reduced
+  basis down (every relation vanishes under maps.apply_hom, each has
+  coefficient 1 at its own lead pair, its largest monomial, which no
+  other relation holds, and the lead pairs descend in canonical
+  position), and the test asks for one relation per incomparable pair.
 - reduced_groebner reads its quadrics off one subduction pass over the
   incomparable pairs; the reference calls straightening_relation on each
   pair, which validates and subducts it on its own.
@@ -83,7 +85,7 @@ from qgrass.straighten import (
     subduction_table,
 )
 
-from conftest import clear_image_caches, reference_image
+from conftest import clear_image_caches
 from test_lattice import LADDER
 from test_polyring import level_sum, mono_div
 
@@ -389,13 +391,17 @@ def test_signed_image_refuses_a_coefficient_other_than_one(
     u, v = incomparable_pairs(ctx)[0]
     mask = interval_mask(ctx, None)
     real = maps.image_blocks
+    target = sorted(itertools.chain(*signed_image(u, ctx, mask)))[term]
 
     def doubled(w, c, m=maps.EMPTY_MASK):
         return with_a_term_repeated(real(w, c, m), c, term)
 
     monkeypatch.setattr(maps, "image_blocks", doubled)
-    image = packed_image(u, ctx, mask)
-    assert [abs(c) for _, c in image].count(2) == 1 and abs(image[term][1]) == 2
+    clear_image_caches()
+    # the extra block holds one permutation's entries: the term-th term
+    lone = [x for row in maps.image_blocks(u, ctx, mask)[-1] for x in row if x is not None]
+    assert len(lone) == ctx.p
+    assert x_packer(ctx).pack(mono_from_pairs((x, 1) for x in lone)) == target
     with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
         signed_image(u, ctx, mask)
     with pytest.raises(InternalInconsistencyError, match=r"has a coefficient -?2,"):
@@ -442,30 +448,11 @@ def test_signed_image_refuses_what_generator_image_refuses(u, error):
 
 
 def packed_image(u, ctx, mask):
-    """Reference: the masked generator image of u as sorted (x_packer int,
-    coefficient) terms, leading term (the smallest int) first."""
+    """The masked generator image of u as sorted (x_packer int, coefficient)
+    terms, leading term (the smallest int) first, read off
+    maps.generator_image."""
     pack = x_packer(ctx).pack
-    return sorted((pack(m), c) for m, c in reference_image(u, ctx, mask).terms.items())
-
-
-def signed_image_reference(u, ctx, mask):
-    """Reference: signed_image as it was built from the Polynomial image,
-    one packed monomial per term, split by its coefficient 1 or -1."""
-    image = packed_image(u, ctx, mask)
-    assert all(c in (1, -1) for _, c in image)
-    return tuple(w for w, c in image if c == 1), tuple(w for w, c in image if c == -1)
-
-
-@pytest.mark.parametrize("params", LADDER, ids=str)
-def test_signed_image_matches_packed_generator_image(params):
-    ctx = Context(*params)
-    masks = [maps.EMPTY_MASK, maps.schubert_mask(ctx, lattice.top(ctx))]
-    if ctx == KEY_CTX:
-        masks += [interval_mask(ctx, (parse_var(b), parse_var(t))) for b, t in INTERVALS_3313]
-    for mask in masks:
-        for u in elements(ctx):
-            assert signed_image(u, ctx, mask) == signed_image_reference(u, ctx, mask)
-            assert maps.generator_image(u, ctx, mask) == reference_image(u, ctx, mask)
+    return sorted((pack(m), c) for m, c in maps.generator_image(u, ctx, mask).terms.items())
 
 
 # -- the walk against the running-minimum loop ---------------------------------
@@ -580,6 +567,8 @@ def test_walk_matches_running_minimum_on_failed_runs(raw_images, fresh_images):
         ref, error = assert_walks_like_running_minimum((u, v), ctx)
         assert error is None and (ref.witness is None) == (not ref.remainder)
         if ref.remainder:
+            # the run stops at the remainder's leading monomial in X_ORDER
+            assert ref.witness == X_ORDER.leading_term(ref.remainder)[1]
             failed.append((u, v))
     pairs = incomparable_pairs(ctx)
     assert (len(failed), len(pairs)) == (35, 106) and set(failed) <= set(pairs)
@@ -646,36 +635,26 @@ def test_walk_matches_running_minimum_with_a_zero_image(ctx333, monkeypatch, fre
 # -- the kernel oracle on counted image products ------------------------------
 
 
-def kernel_quadrics_oracle_polynomial(ctx, interval=None):
-    """Reference: the oracle multiplying generator images as Polynomials,
-    as it was before it read the subduction table's packed images."""
-    elems = elements(ctx, interval)
+def reduced_basis_leads(relations, ctx, interval=None):
+    """The lead pairs of relations, checked with no elimination to be the
+    reduced basis of a subspace of the quadratic kernel: each relation
+    vanishes under maps.apply_hom at the interval_mask; its largest
+    monomial in c_order, its lead pair, has coefficient 1 and lies in no
+    other relation; and the lead pairs descend in canonical position
+    (i, j), i <= j.  Distinct leads make the relations independent."""
     mask = interval_mask(ctx, interval)
-    images = {u: reference_image(u, ctx, mask) for u in elems}
-    groups = {}
-    for i, u in enumerate(elems):
-        for v in elems[i:]:
-            md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
-            groups.setdefault(md, []).append(mono_from_pairs([(u, 1), (v, 1)]))
-    relations = []
-    for md in sorted(groups):
-        monos = groups[md]
-        rows = []
-        for m in monos:
-            prod = Polynomial.constant(1)
-            for var, e in m:
-                prod = prod * images[var] ** e
-            rows.append(dict(prod.terms))
-        for combo in linalg.nullspace(rows, X_ORDER.key):
-            relations.append(Polynomial({monos[i]: c for i, c in combo.items()}))
-    basis_elim = linalg.Eliminator(c_order(ctx).key)
-    for rel in relations:
-        basis_elim.add(dict(rel.terms))
-    return [Polynomial(row) for row in basis_elim.rows()]
-
-
-def typed_terms(poly, order):
-    return [(m, type(c), c) for m, c in order.sorted_terms(poly)]
+    key = c_order(ctx).key
+    at = {u: i for i, u in enumerate(elements(ctx, interval))}
+    holding = collections.Counter(m for f in relations for m in f.terms)
+    pairs = []
+    for f in relations:
+        assert not maps.apply_hom(f, ctx, mask)
+        lead = max(f.terms, key=key)
+        assert f.terms[lead] == 1 and holding[lead] == 1
+        pairs.append(tuple(sorted((u for u, e in lead for _ in range(e)), key=at.__getitem__)))
+    positions = [(at[u], at[v]) for u, v in pairs]
+    assert positions == sorted(set(positions), reverse=True)
+    return pairs
 
 
 @pytest.mark.parametrize(
@@ -690,15 +669,13 @@ def typed_terms(poly, order):
         ((3, 3, 1, 3), ("146^1", "235^2")),
     ],
 )
-def test_kernel_oracle_matches_polynomial_reference(params, interval):
+def test_kernel_oracle_is_the_reduced_kernel_basis(params, interval):
+    # one relation per incomparable pair, led by it
     ctx = Context(*params)
     if interval is not None:
         interval = tuple(parse_var(x) for x in interval)
-    fast = kernel_quadrics_oracle(ctx, interval)
-    ref = kernel_quadrics_oracle_polynomial(ctx, interval)
-    assert fast == ref
-    order = c_order(ctx)
-    assert [typed_terms(f, order) for f in fast] == [typed_terms(f, order) for f in ref]
+    relations = kernel_quadrics_oracle(ctx, interval)
+    assert reduced_basis_leads(relations, ctx, interval) == incomparable_pairs(ctx, interval)[::-1]
 
 
 def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
@@ -733,7 +710,8 @@ def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
 
 
 def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_images):
-    # a zero image makes zero rows, each a kernel vector of its own
+    # a zero image makes zero rows, each a kernel vector of its own: the
+    # monomial u*zeroed alone is a relation, for every element u
     ctx = Context(2, 3, 1, 2)
     zeroed = elements(ctx)[7]
     real = maps.image_blocks
@@ -743,9 +721,11 @@ def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_
         lambda w, c, m=maps.EMPTY_MASK: [] if w == zeroed else real(w, c, m),
     )
     assert signed_image(zeroed, ctx, interval_mask(ctx, None)) == ((), ())
-    fast = kernel_quadrics_oracle(ctx)
-    assert fast == kernel_quadrics_oracle_polynomial(ctx)
-    assert len(fast) > len(incomparable_pairs(ctx))
+    relations = kernel_quadrics_oracle(ctx)
+    reduced_basis_leads(relations, ctx)
+    for u in elements(ctx):
+        assert Polynomial.term(polyring.pair_mono(u, zeroed)) in relations
+    assert len(relations) > len(incomparable_pairs(ctx))
 
 
 def test_count_product_matches_polynomial_product():
@@ -755,7 +735,7 @@ def test_count_product_matches_polynomial_product():
     mask = interval_mask(ctx, None)
     unpack = x_packer(ctx).unpack
     for u, v in itertools.combinations_with_replacement(elements(ctx), 2):
-        product = reference_image(u, ctx, mask) * reference_image(v, ctx, mask)
+        product = maps.generator_image(u, ctx, mask) * maps.generator_image(v, ctx, mask)
         a, b = signed_image(u, ctx, mask), signed_image(v, ctx, mask)
         for c in (1, -1, 2, -3):
             pos, neg = {}, {}
