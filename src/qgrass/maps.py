@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Optional
 
 from . import lattice, polyring
@@ -102,9 +103,10 @@ def epsilon(j: YoungSeq, ctx: Context) -> int:
     return lattice.sort_sign([residue(x, ctx.width) for x in j.entries])
 
 
-def _compositions(a: int, ctx: Context):
+@functools.lru_cache(maxsize=None)
+def _compositions(a: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
     """The level assignments (l_1, ..., l_p), each in 0..n, that sum to a."""
-    return (ls for ls in itertools.product(range(ctx.n + 1), repeat=ctx.p) if sum(ls) == a)
+    return tuple(ls for ls in itertools.product(range(ctx.n + 1), repeat=ctx.p) if sum(ls) == a)
 
 
 def pi(u: PluckerVar, ctx: Context) -> Polynomial:
@@ -174,9 +176,22 @@ def young_mask(
     return frozenset(zeroed)
 
 
-def _masked(block: list[list[XVar]], mask: SpecMask) -> list[list[Optional[XVar]]]:
-    """The block with each masked variable replaced by None, a zero entry."""
-    return [[None if v in mask else v for v in row] for row in block]
+@functools.lru_cache(maxsize=None)
+def _variable_grid(
+    ctx: Context, mask: SpecMask
+) -> tuple[tuple[tuple[Optional[XVar], ...], ...], ...]:
+    """The masked matrix by row and level, built once per (ctx, mask):
+    grid[i - 1][l][j] is x[i,j,l], or None, a zero entry, where the mask
+    holds it; each level of a row is indexed by column from 1 (entry 0 is
+    None).  Every block of minor_map and image_blocks is read off it."""
+    return tuple(
+        tuple(
+            (None,)
+            + tuple(None if (v := XVar(i, j, l)) in mask else v for j in range(1, ctx.width + 1))
+            for l in range(ctx.n + 1)
+        )
+        for i in range(1, ctx.p + 1)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,11 +207,12 @@ def minor_map(
     if any(a >= b for a, b in zip(entries, entries[1:])):
         raise InvalidInputError(f"columns must be strictly increasing: {sel!r}")
     w = ctx.width
-    block = [
-        [XVar(i, residue(c, w), stacked_level(c, w)) for c in entries]
-        for i in range(1, ctx.p + 1)
-    ]
-    return polyring.det(_masked(block, mask))
+    return polyring.det(
+        [
+            [levels[stacked_level(c, w)][residue(c, w)] for c in entries]
+            for levels in _variable_grid(ctx, mask)
+        ]
+    )
 
 
 # -- masked generator images and the induced homomorphism ----------------------
@@ -208,7 +224,9 @@ def image_blocks(
     """The blocks whose determinants sum to the masked image of u: one per
     composition (l_1, ..., l_p) of the shift into parts at most n, row i
     holding the level-l_i variables of the columns of u, each masked
-    variable replaced by None.
+    variable replaced by None.  The entries are indexed in the cached
+    _variable_grid of (ctx, mask), and the compositions are cached per
+    shift, so no variable is built and no mask is tested here.
 
     A monomial of a block's determinant fixes the block's composition, so
     the blocks share no monomial.
@@ -216,8 +234,9 @@ def image_blocks(
     lattice.validate_var(u, ctx, bound_shift=False)
     if u.shift > ctx.n * ctx.p:
         raise DomainError(f"shift {u.shift} exceeds the maximal degree {ctx.n * ctx.p}")
+    grid, cols = _variable_grid(ctx, mask), u.cols
     return [
-        _masked([[XVar(i, j, l) for j in u.cols] for i, l in enumerate(levels, start=1)], mask)
+        [[row[j] for j in cols] for row in map(operator.getitem, grid, levels)]
         for levels in _compositions(u.shift, ctx)
     ]
 

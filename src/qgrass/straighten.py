@@ -162,22 +162,35 @@ def subduction_table(ctx: Context, interval: Optional[Interval] = None) -> Subdu
 
 @functools.lru_cache(maxsize=None)
 def _subduction_table(ctx: Context, interval: Optional[Interval]) -> SubductionTable:
+    """One walk over the pairs u, v of the elements, v at or after u in
+    canonical order, that sorts each into lead_pairs or incomparable.
+
+    Each element is coded once, with the table's own elements only: its
+    packed Young code (lattice.young_codes), its packed psi and its
+    _degree_key.  A pair compares codes instead of calling lattice.leq,
+    and its multidegree is the sum of the two degree keys, _multidegree.
+    """
     elems = lattice.elements(ctx, interval)
     pack = polyring.x_packer(ctx).pack
-    leads = {u: pack(maps.psi(u, ctx)) for u in elems}
+    codes, guard = lattice.young_codes(elems, ctx)
+    coded = [
+        (u, code, pack(maps.psi(u, ctx)), _degree_key(u, ctx)) for u, code in zip(elems, codes)
+    ]
     lead_pairs: dict[int, tuple[PluckerVar, PluckerVar]] = {}
     by_md: dict[int, list[int]] = {}
     incomparable: list[tuple[PluckerVar, PluckerVar]] = []
-    for u, v in itertools.combinations_with_replacement(elems, 2):
-        if lattice.leq(u, v):
-            lead = leads[u] + leads[v]
+    for (u, code_u, lead_u, key_u), (v, code_v, lead_v, key_v) in (
+        itertools.combinations_with_replacement(coded, 2)
+    ):
+        if (code_v | guard) - code_u & guard == guard:  # lattice.leq(u, v)
+            lead = lead_u + lead_v
             if lead in lead_pairs:
                 raise InternalInconsistencyError(
                     f"monomial admits two standard factorizations: "
                     f"{lead_pairs[lead]!r} and {(u, v)!r}"
                 )
             lead_pairs[lead] = (u, v)
-            by_md.setdefault(_multidegree(u, v, ctx), []).append(lead)
+            by_md.setdefault(key_u + key_v, []).append(lead)
         else:
             incomparable.append((u, v))
     for md_leads in by_md.values():

@@ -7,17 +7,15 @@ import math
 
 from qgrass.lattice import (
     Context,
-    PluckerVar,
     count_maximal_chains,
     elements,
     incomparable_pairs,
     leq,
-    meet_join,
     parse_var,
     rank,
     to_young,
 )
-from qgrass import lattice, linalg, maps, polyring, straighten, syzygy
+from qgrass import lattice, linalg, maps, polyring
 from qgrass.polyring import Polynomial, X_ORDER, XVar, emit_text, initial_form, mono_from_pairs
 from qgrass.straighten import (
     hibi_binomial,

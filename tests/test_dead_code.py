@@ -5,12 +5,16 @@ tests/ other than the line that defines it is dead: nothing calls it, and
 no test holds it as a reference.  Only identifiers count, so a name that
 appears in a docstring, a comment or a string is not a use.  A method is
 reached through an attribute, so it counts as used only where its name
-follows a dot on something other than a module: lattice.rank is no use of
-a method named rank, and a bare local named rows is no use of a method
-named rows.  A definition used on no other line of src/ is used by the
-tests alone; that set is pinned, so it may shrink but not grow.  Dunder
-methods are exempt, since the language calls them, and so is
-cli._Parser.error, which argparse calls.
+follows a dot on something other than a module or an argparse namespace:
+lattice.rank and args.rank are no use of a method named rank, and a bare
+local named rows is no use of a method named rows.  A definition used on
+no other line of src/ is used by the tests alone; that set is pinned, so
+it may shrink but not grow.  Dunder methods are exempt, since the
+language calls them, and so is cli._Parser.error, which argparse calls.
+
+Every name that an import binds in a test module is read by some
+expression of that module, so imports do not outlive the references
+they were for.
 """
 
 import ast
@@ -85,16 +89,33 @@ def module_names(tree):
     return names
 
 
+def namespace_names(tree):
+    """The names that a parsed file binds to an argparse namespace: the
+    targets of an assignment from a parse_args call.  The file's other
+    uses of such a name (cli passes it on as a parameter of the same name)
+    read options, not methods."""
+    return {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "parse_args"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
 def attribute_lines(path):
     """(attribute, line) of each attribute access in path whose object is
-    not a module."""
+    neither a module nor an argparse namespace."""
     tree = ast.parse(path.read_text())
-    modules = module_names(tree)
+    skipped = module_names(tree) | namespace_names(tree)
     return {
         (node.attr, node.lineno)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+        and not (isinstance(node.value, ast.Name) and node.value.id in skipped)
     }
 
 
@@ -102,7 +123,7 @@ def named_once(paths):
     """name -> "path:line qualified name" of each non-dunder definition
     under src/ with no use on the lines of paths: a top-level name that is
     an identifier on no line but its own, or a method name that follows a
-    dot, on something other than a module, on no line."""
+    dot, on something other than a module or a namespace, on no line."""
     # the number of lines of paths on which each identifier, and each
     # attribute of something other than a module, appears
     lines_with = Counter(name for path in paths for name, _ in identifier_lines(path))
@@ -125,3 +146,26 @@ def test_every_definition_is_referenced():
 def test_no_new_definition_is_used_by_the_tests_alone():
     new = [where for name, where in named_once(SOURCES).items() if name not in TEST_ONLY]
     assert not new, "named on no other line of src/: " + ", ".join(new)
+
+
+def unread_imports(path):
+    """The names that the imports of path bind and that no expression of
+    path reads (an ast.Name in load context); __future__ imports bind none."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(bound - read)
+
+
+def test_every_test_import_is_read():
+    unread = [f"{path.name}: {name}" for path in TESTS for name in unread_imports(path)]
+    assert not unread, "imported but never read: " + ", ".join(unread)

@@ -43,6 +43,8 @@ the slow path it replaced, kept here.
   pair, which validates and subducts it on its own.
 - The table lists those incomparable pairs from the walk over the pairs
   that builds its lead_pairs; the reference is lattice.incomparable_pairs.
+- That walk compares packed Young codes (lattice.young_codes); the
+  reference is lattice.leq on each pair, on seeded intervals.
 """
 
 import collections
@@ -778,6 +780,28 @@ def test_subduction_table_is_one_object_however_the_interval_is_passed():
 def test_table_lists_the_incomparable_pairs(ctx, interval):
     # (1,4,2,2) has no incomparable pair
     assert subduction_table(ctx, interval).incomparable == incomparable_pairs(ctx, interval)
+
+
+def seeded_intervals(ctx, count, seed):
+    """count random intervals [bot, top] of ctx, bot <= top, bot != top."""
+    rng = random.Random(seed)
+    elems = elements(ctx)
+    out = []
+    while len(out) < count:
+        i, j = sorted(rng.sample(range(len(elems)), 2))
+        if lattice.leq(elems[i], elems[j]):
+            out.append((elems[i], elems[j]))
+    return out
+
+
+@pytest.mark.parametrize("params", [(3, 3, 1, 3), (2, 2, 2, 4), (1, 4, 2, 2)], ids=str)
+def test_table_walk_splits_pairs_like_leq_on_seeded_intervals(params):
+    ctx = Context(*params)
+    for interval in seeded_intervals(ctx, 40, seed=30):
+        pairs = list(itertools.combinations_with_replacement(elements(ctx, interval), 2))
+        table = subduction_table(ctx, interval)
+        assert list(table.lead_pairs.values()) == [(u, v) for u, v in pairs if lattice.leq(u, v)]
+        assert table.incomparable == [(u, v) for u, v in pairs if not lattice.leq(u, v)]
 
 
 @pytest.mark.parametrize(

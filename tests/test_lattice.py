@@ -27,6 +27,7 @@ from qgrass.lattice import (
     to_young,
     top,
     validate_var,
+    young_codes,
 )
 
 
@@ -321,6 +322,20 @@ def test_leq_matches_reference_on_every_pair(params):
     for u in elems:
         for v in elems:
             assert leq(u, v) is leq_reference(u, v)
+
+
+# the ladder, plus a context with n = 2 at q = n*p, one with p = 1 and one with p = 4
+CODE_CONTEXTS = LADDER + [(2, 2, 2, 4), (1, 4, 2, 2), (4, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("params", CODE_CONTEXTS, ids=str)
+def test_young_codes_compare_like_leq_on_every_pair(params):
+    ctx = Context(*params)
+    elems = elements(ctx)
+    codes, guard = young_codes(elems, ctx)
+    for u, code_u in zip(elems, codes):
+        for v, code_v in zip(elems, codes):
+            assert (((code_v | guard) - code_u) & guard == guard) is leq(u, v)
 
 
 def test_leq_refuses_mismatched_column_counts_like_reference():

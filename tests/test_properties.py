@@ -1,7 +1,6 @@
 """Randomized property suites; runnable standalone via
 `pytest tests/test_properties.py`.  Each suite drives at least 1000 cases."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -15,17 +14,14 @@ from qgrass.lattice import (
     elements,
     from_young,
     leq,
-    linear_key,
     meet_join,
     rank,
     to_young,
 )
-from qgrass import polyring
 from qgrass.polyring import (
     Polynomial,
     X_ORDER,
     XVar,
-    c_order,
     emit_json,
     emit_text,
     initial_form,

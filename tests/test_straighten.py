@@ -1,5 +1,4 @@
 import io
-from fractions import Fraction
 
 import pytest
 
@@ -7,9 +6,8 @@ from qgrass.errors import (
     InternalInconsistencyError,
     InvalidInputError,
     NotInInitialAlgebraError,
-    SagbiFailureError,
 )
-from qgrass.lattice import Context, PluckerVar, elements, incomparable_pairs, meet_join, parse_var
+from qgrass.lattice import Context, elements, incomparable_pairs, meet_join, parse_var
 from qgrass import cli, lattice, linalg, maps, polyring, straighten
 from qgrass.polyring import Polynomial, emit_text, mono_from_pairs
 from qgrass.straighten import (

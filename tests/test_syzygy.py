@@ -5,8 +5,8 @@ import pytest
 
 from qgrass.errors import InternalInconsistencyError, InvalidInputError
 from qgrass.lattice import Context, PluckerVar, incomparable_pairs, parse_var
-from qgrass import cli, lattice, linalg, maps, polyring, straighten, syzygy
-from qgrass.polyring import Polynomial, emit_text, initial_form, mono_from_pairs
+from qgrass import cli, lattice, linalg, maps, polyring, straighten
+from qgrass.polyring import Polynomial, initial_form, mono_from_pairs
 from qgrass.syzygy import (
     coefficient_relation_report,
     coefficient_relations,
