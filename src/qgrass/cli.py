@@ -56,51 +56,190 @@ class _DeferredParser:
         return parser.parse_known_args(args, namespace)
 
 
+def resolve_context(args) -> Context:
+    p, m, n, q = args.p, args.m, args.n, args.q
+    if n is None and q is None:
+        n, q = 0, 0
+    elif n is None:
+        Context(p, m)  # refuses p < 1 before q is divided by it
+        n = -(-q // p)
+    elif q is None:
+        q = n * p
+    return Context(p, m, n, q)
+
+
+def _parse_var(text: str, ctx: Context) -> PluckerVar:
+    u = lattice.parse_var(text, p=ctx.p)
+    lattice.validate_var(u, ctx)
+    return u
+
+
+def _parse_interval(args, ctx: Context):
+    return None if args.interval is None else tuple(_parse_var(t, ctx) for t in args.interval)
+
+
+def _emit_poly(poly, kind, ctx, args) -> str:
+    if args.format == "json":
+        return polyring.emit_json(poly, kind, ctx)
+    return polyring.emit_text(poly, kind, ctx, compact=args.compact)
+
+
+def _fmt_var(u, args) -> str:
+    return lattice.format_var(u, compact=args.compact)
+
+
+def _write_rows(rows, line, args, out) -> None:
+    """rows as one JSON array, or one line(row) per row."""
+    if args.format == "json":
+        print(json.dumps(rows), file=out)
+    else:
+        for row in rows:
+            print(line(row), file=out)
+
+
+def _poset_list(args, ctx, out):
+    elems = lattice.elements(ctx, _parse_interval(args, ctx))
+    _write_rows([_fmt_var(u, args) for u in elems], str, args, out)
+
+
+def _poset_pairs(args, ctx, out):
+    pairs = lattice.incomparable_pairs(ctx, _parse_interval(args, ctx))
+    _write_rows([[_fmt_var(u, args), _fmt_var(v, args)] for u, v in pairs], " ".join, args, out)
+
+
+def _poset_rank(args, ctx, out):
+    print(lattice.rank(_parse_var(args.var, ctx), ctx), file=out)
+
+
+def _degree(args, ctx, out):
+    print(lattice.count_maximal_chains(ctx, _parse_interval(args, ctx)), file=out)
+
+
+def _image(kind, fn, args, ctx, out):
+    """The handler of phi, psi, chi and pi: fn(u, ctx) of u in the kind universe."""
+    print(_emit_poly(fn(_parse_var(args.var, ctx), ctx), kind, ctx, args), file=out)
+
+
+def _schubert(args, ctx, out):
+    top = _parse_var(args.top, ctx)
+    bot = None if args.skew is None else _parse_var(args.skew, ctx)
+    mask = maps.schubert_mask(ctx, top, bot)
+    members = lattice.elements(ctx, (bot or lattice.bottom(ctx), top))
+    images = [(u, maps.generator_image(u, ctx, mask)) for u in members]
+    zeroed = sorted(mask, key=polyring.X_ORDER.var_key)
+    if args.format == "json":
+        doc = {
+            "mask": [[v.row, v.col, v.level] for v in zeroed],
+            "images": {_fmt_var(u, args): polyring.json_doc(img, "X") for u, img in images},
+        }
+        print(json.dumps(doc, separators=(",", ":")), file=out)
+    else:
+        for v in zeroed:
+            print(f"zero {polyring.format_variable(v, 'X')}", file=out)
+        for u, img in images:
+            print(f"{_fmt_var(u, args)} -> {polyring.emit_text(img, 'X', ctx)}", file=out)
+
+
+def _straighten(args, ctx, out):
+    gamma, delta = _parse_var(args.gamma, ctx), _parse_var(args.delta, ctx)
+    quad = straighten.straightening_relation(gamma, delta, ctx, _parse_interval(args, ctx))
+    print(_emit_poly(quad.poly, "C", ctx, args), file=out)
+
+
+def _groebner(args, ctx, out):
+    basis = straighten.reduced_groebner(ctx, _parse_interval(args, ctx))
+    if args.format == "json":
+        doc = [
+            {
+                "lead_pair": [_fmt_var(q.lead_pair[0], args), _fmt_var(q.lead_pair[1], args)],
+                "poly": polyring.json_doc(q.poly, "C", ctx),
+            }
+            for q in basis
+        ]
+        print(json.dumps(doc, separators=(",", ":")), file=out)
+    else:
+        for q in basis:
+            print(polyring.emit_text(q.poly, "C", ctx, compact=args.compact), file=out)
+
+
+def _sagbi_check(args, ctx, out):
+    report = straighten.sagbi_check(ctx, jobs=args.jobs)
+    print(json.dumps(report, separators=(",", ":")), file=out)
+    return MATH_ERROR if report["failures"] else 0
+
+
+def _syzygy(args, ctx, out):
+    rows = (_parse_var(args.row1, ctx), _parse_var(args.row2, ctx))
+    lift = syzygy.skew_syzygy_w if args.kind == "w" else syzygy.quantum_syzygy_v
+    print(_emit_poly(lift(rows, ctx), "C", ctx, args), file=out)
+
+
+def _obvious(args, ctx, out):
+    if args.rank:
+        report = syzygy.coefficient_relation_report(ctx)
+        print(json.dumps(report, separators=(",", ":")), file=out)
+        return
+    for f in syzygy.coefficient_relations(ctx):
+        print(_emit_poly(f, "C", ctx, args), file=out)
+
+
 _INTERVAL = ("--interval", {"nargs": 2, "metavar": ("BOT", "TOP")})
 _VAR = ("var", {})
 _JOBS_HELP = "worker processes, >= 1 (capped at the CPU count and the number of pairs)"
 
 # name -> (help line, or None to list no help; the arguments as
-# (name, add_argument keywords) in order, or a nested table of subcommands)
+# (name, add_argument keywords) in order, or a nested table of subcommands;
+# the handler (args, ctx, out), returning an exit code or None for 0, or None
+# beside a nested table)
 _POSET_COMMANDS = {
-    "list": (None, [_INTERVAL]),
-    "pairs": (None, [_INTERVAL]),
-    "rank": (None, [_VAR]),
+    "list": (None, [_INTERVAL], _poset_list),
+    "pairs": (None, [_INTERVAL], _poset_pairs),
+    "rank": (None, [_VAR], _poset_rank),
 }
 _COMMANDS = {
-    "poset": ("lattice elements, incomparable pairs, ranks", _POSET_COMMANDS),
-    "degree": ("number of maximal chains", [_INTERVAL]),
+    "poset": ("lattice elements, incomparable pairs, ranks", _POSET_COMMANDS, None),
+    "degree": ("number of maximal chains", [_INTERVAL], _degree),
     **{
-        name: (f"{name} image of a lattice variable", [_VAR])
-        for name in ("phi", "psi", "chi", "pi")
+        name: (f"{name} image of a lattice variable", [_VAR], functools.partial(_image, kind, fn))
+        for name, kind, fn in (
+            ("phi", "X", lambda u, ctx: maps.phi(u, ctx)),
+            ("psi", "X", lambda u, ctx: polyring.Polynomial.term(maps.psi(u, ctx))),
+            ("chi", "X", lambda u, ctx: maps.chi(u, ctx)),
+            ("pi", "J", lambda u, ctx: maps.pi(u, ctx)),
+        )
     },
     "schubert": (
         "cell mask and masked generator images",
         [("top", {}), ("--skew", {"metavar": "BOT", "default": None})],
+        _schubert,
     ),
     "straighten": (
         "straightening relation of an incomparable pair",
         [("gamma", {}), ("delta", {}), _INTERVAL],
+        _straighten,
     ),
-    "groebner": ("all quadratic straightening relations", [_INTERVAL]),
+    "groebner": ("all quadratic straightening relations", [_INTERVAL], _groebner),
     "sagbi-check": (
         "subduct every incomparable product",
         [("--jobs", {"type": int, "default": 1, "help": _JOBS_HELP})],
+        _sagbi_check,
     ),
     "syzygy": (
         "skew (w) or lifted (v) syzygy of a two-row tableau",
         [("kind", {"choices": ["w", "v"]}), ("row1", {}), ("row2", {})],
+        _syzygy,
     ),
     "obvious": (
         "t-coefficient relations from the classical quadrics",
         [("--rank", {"action": "store_true", "help": "emit the rank/deficit report"})],
+        _obvious,
     ),
 }
 
 
 def _add_commands(parser, table, dest) -> None:
     sub = parser.add_subparsers(dest=dest, required=True, parser_class=_DeferredParser)
-    for name, (help_line, spec) in table.items():
+    for name, (help_line, spec, _) in table.items():
         if isinstance(spec, dict):
             configure = functools.partial(_add_commands, table=spec, dest=f"{name}_command")
         else:
@@ -126,41 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_context(args) -> Context:
-    p, m, n, q = args.p, args.m, args.n, args.q
-    if n is None and q is None:
-        n, q = 0, 0
-    elif n is None:
-        Context(p, m)  # refuses p < 1 before q is divided by it
-        n = -(-q // p)
-    elif q is None:
-        q = n * p
-    return Context(p, m, n, q)
-
-
-def _parse_var(text: str, ctx: Context) -> PluckerVar:
-    u = lattice.parse_var(text, p=ctx.p)
-    lattice.validate_var(u, ctx)
-    return u
-
-
-def _parse_interval(args, ctx: Context):
-    raw = getattr(args, "interval", None)
-    if raw is None:
-        return None
-    return (_parse_var(raw[0], ctx), _parse_var(raw[1], ctx))
-
-
-def _emit_poly(poly, kind, ctx, args) -> str:
-    if args.format == "json":
-        return polyring.emit_json(poly, kind, ctx)
-    return polyring.emit_text(poly, kind, ctx, compact=args.compact)
-
-
-def _fmt_var(u, args) -> str:
-    return lattice.format_var(u, compact=args.compact)
-
-
 def run(argv: Optional[list[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -176,125 +280,15 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         return USAGE_ERROR
 
 
-def _dispatch(args, ctx: Context, out) -> int:
-    cmd = args.command
-
-    if cmd == "poset":
-        sub = args.poset_command
-        if sub == "rank":
-            u = _parse_var(args.var, ctx)
-            print(lattice.rank(u, ctx), file=out)
-            return 0
-        interval = _parse_interval(args, ctx)
-        if sub == "list":
-            elems = lattice.elements(ctx, interval)
-            if args.format == "json":
-                print(json.dumps([_fmt_var(u, args) for u in elems]), file=out)
-            else:
-                for u in elems:
-                    print(_fmt_var(u, args), file=out)
-            return 0
-        pairs = lattice.incomparable_pairs(ctx, interval)
-        if args.format == "json":
-            print(
-                json.dumps([[_fmt_var(u, args), _fmt_var(v, args)] for u, v in pairs]),
-                file=out,
-            )
-        else:
-            for u, v in pairs:
-                print(f"{_fmt_var(u, args)} {_fmt_var(v, args)}", file=out)
-        return 0
-
-    if cmd == "degree":
-        interval = _parse_interval(args, ctx)
-        print(lattice.count_maximal_chains(ctx, interval), file=out)
-        return 0
-
-    if cmd in ("phi", "psi", "chi", "pi"):
-        u = _parse_var(args.var, ctx)
-        if cmd == "phi":
-            print(_emit_poly(maps.phi(u, ctx), "X", ctx, args), file=out)
-        elif cmd == "psi":
-            print(_emit_poly(polyring.Polynomial.term(maps.psi(u, ctx)), "X", ctx, args), file=out)
-        elif cmd == "chi":
-            print(_emit_poly(maps.chi(u, ctx), "X", ctx, args), file=out)
-        else:
-            print(_emit_poly(maps.pi(u, ctx), "J", ctx, args), file=out)
-        return 0
-
-    if cmd == "schubert":
-        top = _parse_var(args.top, ctx)
-        bot = None if args.skew is None else _parse_var(args.skew, ctx)
-        mask = maps.schubert_mask(ctx, top, bot)
-        members = lattice.elements(ctx, (bot or lattice.bottom(ctx), top))
-        images = [(u, maps.generator_image(u, ctx, mask)) for u in members]
-        zeroed = sorted(mask, key=polyring.X_ORDER.var_key)
-        if args.format == "json":
-            doc = {
-                "mask": [[v.row, v.col, v.level] for v in zeroed],
-                "images": {
-                    _fmt_var(u, args): polyring.json_doc(img, "X")
-                    for u, img in images
-                },
-            }
-            print(json.dumps(doc, separators=(",", ":")), file=out)
-        else:
-            for v in zeroed:
-                print(f"zero {polyring.format_variable(v, 'X')}", file=out)
-            for u, img in images:
-                print(f"{_fmt_var(u, args)} -> {polyring.emit_text(img, 'X', ctx)}", file=out)
-        return 0
-
-    if cmd == "straighten":
-        gamma = _parse_var(args.gamma, ctx)
-        delta = _parse_var(args.delta, ctx)
-        interval = _parse_interval(args, ctx)
-        quad = straighten.straightening_relation(gamma, delta, ctx, interval)
-        print(_emit_poly(quad.poly, "C", ctx, args), file=out)
-        return 0
-
-    if cmd == "groebner":
-        interval = _parse_interval(args, ctx)
-        basis = straighten.reduced_groebner(ctx, interval)
-        if args.format == "json":
-            doc = [
-                {
-                    "lead_pair": [_fmt_var(q.lead_pair[0], args), _fmt_var(q.lead_pair[1], args)],
-                    "poly": polyring.json_doc(q.poly, "C", ctx),
-                }
-                for q in basis
-            ]
-            print(json.dumps(doc, separators=(",", ":")), file=out)
-        else:
-            for q in basis:
-                print(polyring.emit_text(q.poly, "C", ctx, compact=args.compact), file=out)
-        return 0
-
-    if cmd == "sagbi-check":
-        report = straighten.sagbi_check(ctx, jobs=args.jobs)
-        print(json.dumps(report, separators=(",", ":")), file=out)
-        return MATH_ERROR if report["failures"] else 0
-
-    if cmd == "syzygy":
-        r1 = _parse_var(args.row1, ctx)
-        r2 = _parse_var(args.row2, ctx)
-        if args.kind == "w":
-            poly = syzygy.skew_syzygy_w((r1, r2), ctx)
-        else:
-            poly = syzygy.quantum_syzygy_v((r1, r2), ctx)
-        print(_emit_poly(poly, "C", ctx, args), file=out)
-        return 0
-
-    if cmd == "obvious":
-        if args.rank:
-            report = syzygy.coefficient_relation_report(ctx)
-            print(json.dumps(report, separators=(",", ":")), file=out)
-            return 0
-        for f in syzygy.coefficient_relations(ctx):
-            print(_emit_poly(f, "C", ctx, args), file=out)
-        return 0
-
-    raise InternalInconsistencyError(f"unhandled command {cmd!r}")
+def _dispatch(args, ctx: Context, out, table=_COMMANDS, dest="command") -> int:
+    """Run the handler that args names, through the dests that _add_commands sets."""
+    name = getattr(args, dest)
+    if name not in table:
+        raise InternalInconsistencyError(f"unhandled command {name!r}")
+    _, spec, handler = table[name]
+    if isinstance(spec, dict):
+        return _dispatch(args, ctx, out, spec, f"{name}_command")
+    return handler(args, ctx, out) or 0
 
 
 def main() -> None:

@@ -72,15 +72,15 @@ def validate_var(u: PluckerVar, ctx: Context, bound_shift: bool = True) -> None:
     """Raise InvalidInputError unless u is a well-formed element for ctx."""
     cols = u.cols
     if len(cols) != ctx.p:
-        raise InvalidInputError(f"expected {ctx.p} columns, got {u!r}")
+        raise InvalidInputError(f"expected {ctx.p} columns, got {format_var(u)}")
     if any(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)):
-        raise InvalidInputError(f"columns must be strictly increasing: {u!r}")
+        raise InvalidInputError(f"columns must be strictly increasing: {format_var(u)}")
     if cols[0] < 1 or cols[-1] > ctx.width:
-        raise InvalidInputError(f"columns must lie in [1, {ctx.width}]: {u!r}")
+        raise InvalidInputError(f"columns must lie in [1, {ctx.width}]: {format_var(u)}")
     if u.shift < 0:
-        raise InvalidInputError(f"shift must be >= 0: {u!r}")
+        raise InvalidInputError(f"shift must be >= 0: {format_var(u)}")
     if bound_shift and u.shift > ctx.q:
-        raise InvalidInputError(f"shift exceeds q={ctx.q}: {u!r}")
+        raise InvalidInputError(f"shift exceeds q={ctx.q}: {format_var(u)}")
 
 
 def format_var(u: PluckerVar, compact: bool = False) -> str:
@@ -268,7 +268,8 @@ def _interval_elements(ctx: Context, bot: PluckerVar, top: PluckerVar) -> tuple[
     validate_var(bot, ctx)
     validate_var(top, ctx)
     if not leq(bot, top):
-        raise InvalidInputError(f"invalid interval: {bot!r} is not below {top!r}")
+        below = f"{format_var(bot)} is not below {format_var(top)}"
+        raise InvalidInputError(f"invalid interval: {below}")
     return tuple(u for u in _all_elements(ctx) if leq(bot, u) and leq(u, top))
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import lattice, polyring
 from .errors import DomainError, InternalInconsistencyError, InvalidInputError, NotInImageError
-from .lattice import Context, PluckerVar, YoungSeq
+from .lattice import Context, PluckerVar, YoungSeq, format_var
 from .polyring import Mono, Polynomial, XVar
 
 SpecMask = frozenset  # specialization mask: the XVar triples forced to zero
@@ -145,7 +145,7 @@ def schubert_mask(
     if bottom is not None:
         lattice.validate_var(bottom, ctx, bound_shift=False)
         if not lattice.leq(bottom, top):
-            raise InvalidInputError(f"{bottom!r} is not below {top!r}")
+            raise InvalidInputError(f"{format_var(bottom)} is not below {format_var(top)}")
     return young_mask(
         ctx,
         lattice.to_young(top, ctx),

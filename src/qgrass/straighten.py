@@ -27,7 +27,7 @@ from .errors import (
     NotInInitialAlgebraError,
     SagbiFailureError,
 )
-from .lattice import Context, PluckerVar
+from .lattice import Context, PluckerVar, format_var
 from .maps import EMPTY_MASK, SignedImage, SpecMask
 from .polyring import Mono, Polynomial
 
@@ -432,9 +432,10 @@ def straightening_relation(
     for w in (gamma, delta):
         lattice.validate_var(w, ctx)
         if interval and not (lattice.leq(interval[0], w) and lattice.leq(w, interval[1])):
-            raise InvalidInputError(f"{w!r} is not in the interval {interval!r}")
+            bot, top = map(format_var, interval)
+            raise InvalidInputError(f"{format_var(w)} is not in the interval from {bot} to {top}")
     if not lattice.incomparable(gamma, delta):
-        raise InvalidInputError(f"{gamma!r} and {delta!r} are comparable")
+        raise InvalidInputError(f"{format_var(gamma)} and {format_var(delta)} are comparable")
     return _quadric(gamma, delta, subduct((gamma, delta), ctx, interval))
 
 

@@ -49,6 +49,15 @@ def test_poset_pairs_count():
     assert len(out.splitlines()) == 106
 
 
+def test_poset_json_bytes():
+    # json.dumps' default separators, unlike the compact groebner and sagbi-check documents
+    json_2211 = ("--p", "2", "--m", "2", "--n", "1", "--q", "1", "--format", "json")
+    pairs = '[["1,4^0", "2,3^0"], ["3,4^0", "1,2^1"], ["1,4^1", "2,3^1"]]\n'
+    assert run_cli(*json_2211, "poset", "pairs") == (0, pairs)
+    code, out = run_cli(*json_2211, "--compact", "poset", "list", "--interval", "12^0", "24^0")
+    assert (code, out) == (0, '["12^0", "13^0", "14^0", "23^0", "24^0"]\n')
+
+
 def test_chi_prints_one_line():
     code, out = run_cli("--p", "3", "--m", "3", "--n", "1", "chi", "123^0")
     assert code == 0
@@ -235,6 +244,33 @@ def test_degree_refuses_a_reversed_interval(capsys):
     )
     assert (code, out) == (1, "")
     assert "invalid interval" in capsys.readouterr().err
+
+
+C2212 = ["--p", "2", "--m", "2", "--n", "1", "--q", "2"]
+C3313 = ["--p", "3", "--m", "3", "--n", "1", "--q", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (C2212 + ["straighten", "14^0", "14^0"], "1,4^0 and 1,4^0 are comparable"),
+        (
+            C3313 + ["straighten", "346^1", "125^2", "--interval", "124^0", "236^1"],
+            "3,4,6^1 is not in the interval from 1,2,4^0 to 2,3,6^1",
+        ),
+        (
+            C3313 + ["degree", "--interval", "356^2", "124^0"],
+            "invalid interval: 3,5,6^2 is not below 1,2,4^0",
+        ),
+        (C3313 + ["schubert", "124^0", "--skew", "356^2"], "3,5,6^2 is not below 1,2,4^0"),
+        (C3313 + ["phi", "999^9"], "columns must be strictly increasing: 9,9,9^9"),
+        (C3313 + ["pi", "12,13,14^0"], "columns must lie in [1, 6]: 12,13,14^0"),
+        (C3313 + ["poset", "rank", "124^4"], "shift exceeds q=3: 1,2,4^4"),
+    ],
+)
+def test_errors_name_elements_as_the_command_line_writes_them(capsys, argv, message):
+    assert run_cli(*argv) == (cli.USAGE_ERROR, "")
+    assert capsys.readouterr().err == f"qgrass: error: {message}\n"
 
 
 def test_n_defaults_from_q():

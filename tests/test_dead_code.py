@@ -8,9 +8,11 @@ reached through an attribute, so it counts as used only where its name
 follows a dot on something other than a module or an argparse namespace:
 lattice.rank and args.rank are no use of a method named rank, and a bare
 local named rows is no use of a method named rows.  A definition used on
-no other line of src/ is used by the tests alone; that set is pinned, so
-it may shrink but not grow.  Dunder methods are exempt, since the
-language calls them, and so is cli._Parser.error, which argparse calls.
+no other line of src/ is used by the tests alone, and so is one whose
+every use on another line of src/ lies inside the body of a definition
+used by the tests alone; that set is pinned, so it may shrink but not
+grow.  Dunder methods are exempt, since the language calls them, and so
+is cli._Parser.error, which argparse calls.
 
 Every name that an import binds in a test module is read by some
 expression of that module, so imports do not outlive the references
@@ -31,15 +33,16 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(path):
-    """(name, qualified name, line, is a method) of each top-level
-    definition and each method in path."""
+    """(name, qualified name, line, last line, is a method) of each
+    top-level definition and each method in path."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, DEFINITIONS):
-            yield node.name, node.name, node.lineno, False
+            yield node.name, node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, DEFINITIONS):
-                    yield child.name, f"{node.name}.{child.name}", child.lineno, True
+                    qualname = f"{node.name}.{child.name}"
+                    yield child.name, qualname, child.lineno, child.end_lineno, True
 
 
 # called by the argparse machinery, not by name
@@ -64,6 +67,17 @@ TEST_ONLY = {
     "psi_invert",
     "apply_hom",
     "solve_in_span",
+    # mentioned in src/ only inside the bodies of the definitions above
+    "substitute",
+    "mono_deg",
+    "covers",
+    "parse_variable",
+    "_parse_coeff",
+    "_exponent",
+    "_fields",
+    "_list",
+    "minor_map",
+    "from_young",
 }
 
 
@@ -131,11 +145,46 @@ def named_once(paths):
     return {
         name: f"{path.relative_to(ROOT)}:{lineno} {qualname}"
         for path in SOURCES
-        for name, qualname, lineno, method in definitions(path)
+        for name, qualname, lineno, _, method in definitions(path)
         if not (name.startswith("__") and name.endswith("__"))
         and qualname not in EXEMPT
         and (not attribute_of[name] if method else lines_with[name] < 2)
     }
+
+
+def used_by_tests_alone():
+    """name -> "path:line qualified name" of each definition under src/
+    that only the tests use: one that no other line of src/ names, or one
+    whose every mention on another line of src/ lies inside the body of a
+    test-only definition, applied until nothing changes.  A mention is an
+    identifier, or for a method an attribute, as in named_once."""
+    found = named_once(SOURCES)
+    spans = [(path, *span) for path in SOURCES for span in definitions(path)]
+    idents = {path: identifier_lines(path) for path in SOURCES}
+    attributes = {path: attribute_lines(path) for path in SOURCES}
+    while True:
+        inside = {
+            (path, line)
+            for path, name, _, first, last, _ in spans
+            if name in found
+            for line in range(first, last + 1)
+        }
+        more = {
+            name: f"{path.relative_to(ROOT)}:{first} {qualname}"
+            for path, name, qualname, first, _, method in spans
+            if name not in found
+            and not (name.startswith("__") and name.endswith("__"))
+            and qualname not in EXEMPT
+            and all(
+                (other, line) in inside
+                for other in SOURCES
+                for mention, line in (attributes if method else idents)[other]
+                if mention == name and (other, line) != (path, first)
+            )
+        }
+        if not more:
+            return found
+        found.update(more)
 
 
 def test_every_definition_is_referenced():
@@ -144,8 +193,8 @@ def test_every_definition_is_referenced():
 
 
 def test_no_new_definition_is_used_by_the_tests_alone():
-    new = [where for name, where in named_once(SOURCES).items() if name not in TEST_ONLY]
-    assert not new, "named on no other line of src/: " + ", ".join(new)
+    new = [where for name, where in used_by_tests_alone().items() if name not in TEST_ONLY]
+    assert not new, "used by the tests alone: " + ", ".join(new)
 
 
 def unread_imports(path):
