@@ -4,14 +4,16 @@ phi sends a lattice variable to a coefficient of a maximal minor of the
 level-graded matrix; psi is its leading monomial; chi is the corresponding
 row-consecutive minor of the level-stacked matrix; pi expands a variable
 over Young-sequence variables.  Masks zero out matrix entries to
-parameterize (skew) cells, and apply_hom / minor_map evaluate the induced
-ring maps.  Every minor is a Leibniz expansion of a block of distinct
-variables, so its terms never cancel.  A generator image sums one block per
-composition of its shift, and image_blocks is the one place that lays
-those blocks out.  signed_image is the one expansion of an image: it walks
+parameterize (skew) cells.  Every minor is a Leibniz expansion of a block
+of distinct variables, so its terms never cancel.  A generator image sums
+one block per composition of its shift, and image_blocks is the one place
+that lays those blocks out.  signed_image is the one expansion of an image: it walks
 each block with polyring.leibniz on packed ints, and generator_image is
-that packed image unpacked, so phi, schubert and apply_hom print and
-evaluate exactly what subduction and the kernel oracle multiply.
+that packed image unpacked, so phi and schubert print exactly what
+subduction and the kernel oracle multiply.  The term-by-term ring maps
+that check these images (the induced homomorphism on lattice variables,
+the stacked minor of a Young sequence) are test references, in
+tests/conftest.py.
 
 Only lattice.to_young / from_young split a shift into matrix levels: psi,
 psi_invert and the cell masks are all read off that embedding.
@@ -48,7 +50,7 @@ def stacked_level(c: int, width: int) -> int:
 
 def phi(u: PluckerVar, ctx: Context) -> Polynomial:
     """Coefficient of t^a in the maximal minor on columns alpha: the unmasked
-    generator_image, cached under the key that apply_hom and schubert use."""
+    generator_image, cached under the key that the masked callers use."""
     return generator_image(u, ctx, EMPTY_MASK)
 
 
@@ -183,7 +185,7 @@ def _variable_grid(
     """The masked matrix by row and level, built once per (ctx, mask):
     grid[i - 1][l][j] is x[i,j,l], or None, a zero entry, where the mask
     holds it; each level of a row is indexed by column from 1 (entry 0 is
-    None).  Every block of minor_map and image_blocks is read off it."""
+    None).  Every block of image_blocks is read off it."""
     return tuple(
         tuple(
             (None,)
@@ -194,28 +196,7 @@ def _variable_grid(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def minor_map(
-    sel: YoungSeq, ctx: Context, mask: SpecMask = EMPTY_MASK
-) -> Polynomial:
-    """Maximal minor of the masked level-stacked p x N matrix on columns sel."""
-    entries = sel.entries
-    if len(entries) != ctx.p:
-        raise InvalidInputError(f"expected {ctx.p} columns, got {sel!r}")
-    if entries[0] < 1 or entries[-1] > ctx.stacked_width:
-        raise InvalidInputError(f"columns out of range: {sel!r}")
-    if any(a >= b for a, b in zip(entries, entries[1:])):
-        raise InvalidInputError(f"columns must be strictly increasing: {sel!r}")
-    w = ctx.width
-    return polyring.det(
-        [
-            [levels[stacked_level(c, w)][residue(c, w)] for c in entries]
-            for levels in _variable_grid(ctx, mask)
-        ]
-    )
-
-
-# -- masked generator images and the induced homomorphism ----------------------
+# -- masked generator images ---------------------------------------------------
 
 
 def image_blocks(
@@ -283,13 +264,3 @@ def generator_image(u: PluckerVar, ctx: Context, mask: SpecMask = EMPTY_MASK) ->
     unpack = polyring.x_packer(ctx).unpack
     pos, neg = signed_image(u, ctx, mask)
     return Polynomial({unpack(w): c for side, c in ((pos, 1), (neg, -1)) for w in side})
-
-
-def apply_hom(f: Polynomial, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:
-    """Evaluate a polynomial in lattice variables through the generator map."""
-    return polyring.substitute(f, lambda u: generator_image(u, ctx, mask))
-
-
-def young_image(f: Polynomial, ctx: Context, mask: SpecMask = EMPTY_MASK) -> Polynomial:
-    """Evaluate a polynomial in sequence variables through the minor map."""
-    return polyring.substitute(f, lambda j: minor_map(j, ctx, mask))

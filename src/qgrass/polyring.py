@@ -6,7 +6,9 @@ map monomials to exact coefficients (int, promoted to Fraction only when a
 computation forces it).  Degree-reverse-lexicographic term orders, weight
 initial forms, the packer of the matrix variables, the one Leibniz walk of
 a square block (over a cached table of signed permutations) with det on
-it, and the canonical text/JSON serializations all live here.
+it, and the canonical text and JSON emitters all live here.  No command
+reads a polynomial, so the readers of both forms are test code
+(tests/parsers.py).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -98,10 +99,6 @@ class Polynomial:
         return cls({MONO_ONE: c})
 
     @classmethod
-    def variable(cls, v) -> "Polynomial":
-        return cls({((v, 1),): 1})
-
-    @classmethod
     def term(cls, mono: Mono, c: Coeff = 1) -> "Polynomial":
         return cls({mono: c})
 
@@ -167,24 +164,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"
-
-
-def substitute(poly: Polynomial, image: Callable[[object], Polynomial]) -> Polynomial:
-    """Apply the ring homomorphism sending each variable v to image(v)."""
-    cache: dict = {}
-
-    def img(v):
-        if v not in cache:
-            cache[v] = image(v)
-        return cache[v]
-
-    acc = Polynomial.zero()
-    for m, c in poly.terms.items():
-        prod = Polynomial.constant(c)
-        for v, e in m:
-            prod = prod * img(v) ** e
-        acc = acc + prod
-    return acc
 
 
 # -- term orders --------------------------------------------------------------
@@ -373,10 +352,6 @@ def det(block: list[list[Optional[XVar]]]) -> Polynomial:
 
 # -- serialization ------------------------------------------------------------
 
-_XVAR_RE = re.compile(r"^x\[([0-9]+),([0-9]+),([0-9]+)\]$")
-_JVAR_RE = re.compile(r"^\(([0-9]+(?:,[0-9]+)*)\)$")
-
-
 @functools.lru_cache(maxsize=None)  # the emitters ask once per factor of every term
 def format_variable(v, kind: str, compact: bool = False) -> str:
     if kind == "X":
@@ -388,41 +363,10 @@ def format_variable(v, kind: str, compact: bool = False) -> str:
     raise InvalidInputError(f"unknown variable universe {kind!r}")
 
 
-def parse_variable(text: str, kind: str, p: Optional[int] = None):
-    text = text.strip()
-    if kind == "X":
-        m = _XVAR_RE.match(text)
-        if not m:
-            raise InvalidInputError(f"bad matrix variable {text!r}")
-        return XVar(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if kind == "C":
-        return lattice.parse_var(text, p=p)
-    if kind == "J":
-        m = _JVAR_RE.match(text)
-        if not m:
-            raise InvalidInputError(f"bad sequence variable {text!r}")
-        return lattice.YoungSeq(tuple(int(x) for x in m.group(1).split(",")))
-    raise InvalidInputError(f"unknown variable universe {kind!r}")
-
-
 def _format_coeff(c: Coeff) -> str:
     if isinstance(c, Fraction):
         return "%d/%d" % (c.numerator, c.denominator)
     return str(c)
-
-
-def _parse_coeff(text: str) -> Coeff:
-    """A coefficient "a" or "a/b" with b nonzero (schemas/polynomial.json)."""
-    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", text):
-        raise InvalidInputError(f"bad coefficient {text!r}")
-    return Fraction(text) if "/" in text else int(text)
-
-
-def _exponent(e) -> int:
-    """A monomial exponent: an integer >= 1 (schemas/polynomial.json)."""
-    if type(e) is not int or e < 1:
-        raise InvalidInputError(f"exponent must be an integer >= 1, got {e!r}")
-    return e
 
 
 def _canonical_terms(
@@ -457,50 +401,6 @@ def emit_text(
     return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
-_TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
-
-# A factor ends at a '*' with no '*' next to it; '**' starts an exponent.
-_FACTOR_SPLIT_RE = re.compile(r"(?<!\*)\*(?!\*)")
-
-
-def parse_text(text: str, kind: str, p: Optional[int] = None) -> Polynomial:
-    """Parse the canonical text form back into a polynomial."""
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero()
-    chunks = _TERM_SPLIT_RE.split(text)
-    sign = 1
-    first = chunks[0]
-    if first.startswith("-"):
-        sign = -1
-        first = first[1:].strip()
-    elif first.startswith("+"):
-        first = first[1:].strip()
-    terms = [(sign, first)]
-    for i in range(1, len(chunks), 2):
-        terms.append((1 if chunks[i] == "+" else -1, chunks[i + 1]))
-    acc: dict = {}
-    for sgn, body in terms:
-        coeff: Coeff = sgn
-        pairs = []
-        for factor in _FACTOR_SPLIT_RE.split(body):
-            factor = factor.strip()
-            if not factor:
-                raise InvalidInputError(f"empty term or factor in {text!r}")
-            if re.fullmatch(r"[0-9]+(/[0-9]+)?", factor):
-                coeff = coeff * _parse_coeff(factor)
-                continue
-            if "**" in factor:
-                varpart, _, exppart = factor.rpartition("**")
-                e = _exponent(int(exppart) if re.fullmatch("[0-9]+", exppart) else exppart)
-            else:
-                varpart, e = factor, 1
-            pairs.append((parse_variable(varpart, kind, p=p), e))
-        m = mono_from_pairs(pairs)
-        acc[m] = acc.get(m, 0) + coeff
-    return Polynomial(acc)
-
-
 def json_doc(poly: Polynomial, kind: str, ctx: Optional[Context] = None) -> dict:
     """The schemas/polynomial.json object of poly, terms in canonical order."""
     terms = [{"c": _format_coeff(c), "m": m} for c, m in _canonical_terms(poly, kind, ctx)]
@@ -510,34 +410,3 @@ def json_doc(poly: Polynomial, kind: str, ctx: Optional[Context] = None) -> dict
 def emit_json(poly: Polynomial, kind: str, ctx: Optional[Context] = None) -> str:
     """JSON form per schemas/polynomial.json: json_doc, without spaces."""
     return json.dumps(json_doc(poly, kind, ctx), separators=(",", ":"))
-
-
-def _fields(obj, *keys) -> list:
-    """The values of a JSON object that has exactly the given keys."""
-    if not isinstance(obj, dict) or obj.keys() != set(keys):
-        raise InvalidInputError(f"expected an object with the keys {keys}, got {obj!r}")
-    return [obj[k] for k in keys]
-
-
-def _list(obj, length: Optional[int] = None) -> list:
-    """A JSON array, of the given length if one is given."""
-    if not isinstance(obj, list) or length not in (None, len(obj)):
-        size = "" if length is None else f" of length {length}"
-        raise InvalidInputError(f"expected an array{size}, got {obj!r}")
-    return obj
-
-
-def parse_json(text: str) -> tuple[Polynomial, str]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"not JSON: {exc}") from None
-    kind, terms = _fields(doc, "vars", "terms")
-    if kind not in ("X", "C", "J"):
-        raise InvalidInputError(f"unknown variable universe {kind!r}")
-    acc: dict = {}
-    for c, pairs in (_fields(t, "c", "m") for t in _list(terms)):
-        pairs = [_list(pair, 2) for pair in _list(pairs)]
-        m = mono_from_pairs((parse_variable(vs, kind), _exponent(e)) for vs, e in pairs)
-        acc[m] = acc.get(m, 0) + _parse_coeff(c)
-    return Polynomial(acc), kind

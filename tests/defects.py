@@ -329,6 +329,17 @@ DEFECTS = (
             "tests/test_cli.py::test_poset_json_bytes",
         ),
     ),
+    Defect(
+        "pi drops its sign epsilon(J)",
+        "maps.py",
+        "acc[((j, 1),)] = epsilon(j, ctx)",
+        "acc[((j, 1),)] = 1",
+        (
+            "tests/test_maps.py::test_pi_golden_m4",
+            "tests/test_maps.py::test_phi_reconstruction_from_stacked_minors",
+            "tests/test_cli.py::test_pinned_stdout[--p 3 --m 4 --n 2 pi 235^2]",
+        ),
+    ),
 )
 
 

@@ -32,7 +32,7 @@ from qgrass.syzygy import (
     weight_initial_r,
 )
 
-from conftest import golden_text
+from conftest import apply_hom, golden_text, substitute, variable, young_image
 from test_lattice import rrw_degree
 
 
@@ -108,7 +108,7 @@ def test_criterion_04_hibi_layer():
     for params in [(2, 3, 1, 2), (3, 3, 1, 3)]:
         ctx = Context(*params)
         for u, v in incomparable_pairs(ctx):
-            image = polyring.substitute(
+            image = substitute(
                 hibi_binomial(u, v, ctx).poly,
                 lambda w: Polynomial.term(maps.psi(w, ctx)),
             )
@@ -124,7 +124,7 @@ def test_criterion_05_straightening(ctx333):
     assert len(quad.poly.terms) == 30
     coeffs = sorted(quad.poly.terms.values())
     assert coeffs.count(2) == 6 and coeffs.count(-2) == 4
-    assert maps.apply_hom(quad.poly, ctx333).is_zero()
+    assert apply_hom(quad.poly, ctx333).is_zero()
     print("PASS criterion 5: 30-term straightening relation, image zero")
 
 
@@ -145,7 +145,7 @@ def test_criterion_06_skew_groebner(ctx333):
     mask = maps.schubert_mask(ctx333, top, bot)
     lines = [
         f"{lattice.format_var(u, compact=True)} -> "
-        f"{emit_text(maps.apply_hom(Polynomial.variable(u), ctx333, mask), 'X')}"
+        f"{emit_text(apply_hom(variable(u), ctx333, mask), 'X')}"
         for u in elements(ctx333, (bot, top))
     ]
     assert "\n".join(lines) == golden_text("schubert_images_235_2_146_1.txt")
@@ -178,14 +178,14 @@ def test_criterion_08_pi_and_identities(ctx333):
         "pi_235_2_m4.txt"
     )
     for u in elements(ctx333):
-        assert maps.young_image(maps.pi(u, ctx333), ctx333) == maps.phi(u, ctx333)
+        assert young_image(maps.pi(u, ctx333), ctx333) == maps.phi(u, ctx333)
     gens = elements(ctx333)
     for alpha in gens:
         mask = maps.schubert_mask(ctx333, alpha)
         ymask = maps.young_mask(ctx333, to_young(alpha, ctx333))
         for gamma in gens:
-            lhs = maps.apply_hom(Polynomial.variable(gamma), ctx333, mask)
-            rhs = maps.young_image(maps.pi(gamma, ctx333), ctx333, ymask)
+            lhs = apply_hom(variable(gamma), ctx333, mask)
+            rhs = young_image(maps.pi(gamma, ctx333), ctx333, ymask)
             assert lhs == rhs, (alpha, gamma)
     print("PASS criterion 8: 6-term expansion; both stacked-minor identities exact")
 
@@ -195,7 +195,7 @@ def test_criterion_09_syzygy_layer(ctx333):
     for t in incomparable_pairs(ctx333):
         w = skew_syzygy_w(t, ctx333)
         assert corder.leading_term(w) == (1, pair_mono(*t)), t
-        image = polyring.substitute(w, lambda u: maps.chi(u, ctx333))
+        image = substitute(w, lambda u: maps.chi(u, ctx333))
         assert image.is_zero(), t
     t = (parse_var("156^1"), parse_var("234^2"))
     golden = golden_text("straighten_156_1_234_2.txt")

@@ -16,6 +16,7 @@ from qgrass.errors import InternalInconsistencyError, InvalidInputError, SagbiFa
 from qgrass.lattice import Context, parse_var
 
 from conftest import golden_text
+from parsers import parse_json, parse_text
 from pins import PINS, check
 from test_lattice import BAD_VARS
 
@@ -135,7 +136,7 @@ def test_obvious_list_parses_back():
     lines = out.splitlines()
     assert len(lines) == 3
     for line in lines:
-        assert not polyring.parse_text(line, "C", p=2).is_zero()
+        assert not parse_text(line, "C", p=2).is_zero()
 
 
 def test_json_format_round_trip():
@@ -143,7 +144,7 @@ def test_json_format_round_trip():
         "--p", "3", "--m", "3", "--n", "1", "--format", "json", "phi", "456^2"
     )
     assert code == 0
-    poly, kind = polyring.parse_json(out)
+    poly, kind = parse_json(out)
     assert kind == "X"
     from qgrass.maps import phi
 

@@ -34,7 +34,7 @@ the slow path it replaced, kept here.
   products, eliminates only the groups whose product leads collide and
   reads the reduced basis off their nullspaces.  It has no second oracle:
   reduced_basis_leads checks, with no elimination, what pins the reduced
-  basis down (every relation vanishes under maps.apply_hom, each has
+  basis down (every relation vanishes under apply_hom, each has
   coefficient 1 at its own lead pair, its largest monomial, which no
   other relation holds, and the lead pairs descend in canonical
   position), and the test asks for one relation per incomparable pair.
@@ -87,7 +87,7 @@ from qgrass.straighten import (
     subduction_table,
 )
 
-from conftest import clear_image_caches
+from conftest import apply_hom, clear_image_caches
 from test_lattice import LADDER
 from test_polyring import level_sum, mono_div
 
@@ -640,7 +640,7 @@ def test_walk_matches_running_minimum_with_a_zero_image(ctx333, monkeypatch, fre
 def reduced_basis_leads(relations, ctx, interval=None):
     """The lead pairs of relations, checked with no elimination to be the
     reduced basis of a subspace of the quadratic kernel: each relation
-    vanishes under maps.apply_hom at the interval_mask; its largest
+    vanishes under apply_hom at the interval_mask; its largest
     monomial in c_order, its lead pair, has coefficient 1 and lies in no
     other relation; and the lead pairs descend in canonical position
     (i, j), i <= j.  Distinct leads make the relations independent."""
@@ -650,7 +650,7 @@ def reduced_basis_leads(relations, ctx, interval=None):
     holding = collections.Counter(m for f in relations for m in f.terms)
     pairs = []
     for f in relations:
-        assert not maps.apply_hom(f, ctx, mask)
+        assert not apply_hom(f, ctx, mask)
         lead = max(f.terms, key=key)
         assert f.terms[lead] == 1 and holding[lead] == 1
         pairs.append(tuple(sorted((u for u, e in lead for _ in range(e)), key=at.__getitem__)))

@@ -8,22 +8,19 @@ from qgrass.lattice import Context, PluckerVar, YoungSeq, elements, leq, parse_v
 from qgrass import lattice, polyring
 from qgrass.maps import (
     EMPTY_MASK,
-    apply_hom,
     chi,
     epsilon,
     generator_image,
-    minor_map,
     phi,
     pi,
     psi,
     psi_invert,
     schubert_mask,
-    young_image,
     young_mask,
 )
 from qgrass.polyring import Mono, Polynomial, X_ORDER, XVar, emit_text, initial_form
 
-from conftest import golden_text
+from conftest import apply_hom, golden_text, minor_map, variable, young_image
 from test_polyring import level_sum
 
 
@@ -220,7 +217,7 @@ def test_skew_generator_images_golden(ctx333):
     mask = schubert_mask(ctx333, top, bot)
     lines = []
     for u in elements(ctx333, (bot, top)):
-        img = apply_hom(Polynomial.variable(u), ctx333, mask)
+        img = apply_hom(variable(u), ctx333, mask)
         lines.append(f"{lattice.format_var(u, compact=True)} -> {emit_text(img, 'X')}")
     assert "\n".join(lines) == golden_text("schubert_images_235_2_146_1.txt")
 
@@ -230,26 +227,26 @@ def test_apply_hom_kills_outside_interval(ctx333):
     mask = schubert_mask(ctx333, top, bot)
     for u in elements(ctx333):
         inside = leq(bot, u) and leq(u, top)
-        img = apply_hom(Polynomial.variable(u), ctx333, mask)
+        img = apply_hom(variable(u), ctx333, mask)
         assert img.is_zero() == (not inside)
 
 
 def test_apply_hom_unmasked_is_phi(ctx333):
     for u in elements(ctx333)[::9]:
-        assert apply_hom(Polynomial.variable(u), ctx333) == phi(u, ctx333)
+        assert apply_hom(variable(u), ctx333) == phi(u, ctx333)
 
 
 def test_apply_hom_multiplicative(ctx333):
     u, v = parse_var("156^1"), parse_var("234^2")
-    f = Polynomial.variable(u)
-    g = Polynomial.variable(v)
+    f = variable(u)
+    g = variable(v)
     assert apply_hom(f * g, ctx333) == apply_hom(f, ctx333) * apply_hom(g, ctx333)
 
 
 def test_masked_self_image_is_signed_lead(ctx333):
     for alpha in elements(ctx333):
         img = apply_hom(
-            Polynomial.variable(alpha), ctx333, schubert_mask(ctx333, alpha)
+            variable(alpha), ctx333, schubert_mask(ctx333, alpha)
         )
         coeff, m = X_ORDER.leading_term(phi(alpha, ctx333))
         assert img == Polynomial.term(m, coeff)
@@ -283,7 +280,7 @@ def test_composition_identity(ctx333):
         mask = schubert_mask(ctx333, alpha)
         ymask = young_mask(ctx333, to_young(alpha, ctx333))
         for gamma in gens[::5]:
-            lhs = apply_hom(Polynomial.variable(gamma), ctx333, mask)
+            lhs = apply_hom(variable(gamma), ctx333, mask)
             rhs = young_image(pi(gamma, ctx333), ctx333, ymask)
             assert lhs == rhs
 

@@ -24,9 +24,10 @@ from qgrass.polyring import (
     mono_from_pairs,
     mono_mul,
     pair_mono,
-    parse_json,
-    parse_text,
 )
+
+from conftest import minor_map, variable
+from parsers import parse_json, parse_text
 
 CTX = Context(3, 3, 1, 3)
 
@@ -91,8 +92,8 @@ def test_leading_term_of_phi_golden(ctx333):
 
 
 def test_ring_ops():
-    x = Polynomial.variable(XVar(1, 1, 0))
-    y = Polynomial.variable(XVar(1, 2, 0))
+    x = variable(XVar(1, 1, 0))
+    y = variable(XVar(1, 2, 0))
     assert (x + (-x)).is_zero()
     assert (x + y) * (x - y) == x * x - y * y
     assert degree(x * y) == 2
@@ -101,7 +102,7 @@ def test_ring_ops():
 
 
 def test_scalar_and_fraction_normalization():
-    x = Polynomial.variable(XVar(1, 1, 0))
+    x = variable(XVar(1, 1, 0))
     f = x.scale(Fraction(4, 2))
     assert f.terms == {mono(XVar(1, 1, 0)): 2}
     assert isinstance(list(f.terms.values())[0], int)
@@ -124,9 +125,9 @@ def test_mono_div():
 
 
 def test_initial_form():
-    f = Polynomial.variable(XVar(1, 1, 0)) + Polynomial.variable(XVar(1, 1, 1))
+    f = variable(XVar(1, 1, 0)) + variable(XVar(1, 1, 1))
     w = lambda v: -v.level
-    assert initial_form(f, w) == Polynomial.variable(XVar(1, 1, 0))
+    assert initial_form(f, w) == variable(XVar(1, 1, 0))
     single = Polynomial.term(mono(XVar(2, 2, 1)), 7)
     assert initial_form(single, w) == single
     assert initial_form(Polynomial.zero(), w).is_zero()
@@ -288,7 +289,7 @@ def test_chi_matches_cofactor_reference(ctx):
                 maps.chi(u, ctx)
             continue
         levels_rows = [divmod(u.shift + i, ctx.p) for i in range(ctx.p)]
-        block = [[Polynomial.variable(XVar(r + 1, j, l)) for j in u.cols] for l, r in levels_rows]
+        block = [[variable(XVar(r + 1, j, l)) for j in u.cols] for l, r in levels_rows]
         f = maps.chi(u, ctx)
         assert f == cofactor_det(block), u
         assert len(f.terms) == math.factorial(ctx.p)
@@ -303,19 +304,19 @@ def test_minor_map_matches_cofactor_reference(ctx):
         for mask in (maps.EMPTY_MASK, maps.young_mask(ctx, sel), maps.young_mask(ctx, None, sel)):
             block = [
                 [
-                    Polynomial.zero() if v in mask else Polynomial.variable(v)
+                    Polynomial.zero() if v in mask else variable(v)
                     for v in (XVar(i, maps.residue(c, w), maps.stacked_level(c, w)) for c in entries)
                 ]
                 for i in range(1, ctx.p + 1)
             ]
-            f = maps.minor_map(sel, ctx, mask)
+            f = minor_map(sel, ctx, mask)
             assert f == cofactor_det(block), (sel, sorted(mask))
             assert_signed_terms(f)
 
 
 def test_minor_map_refuses_a_repeated_column(ctx333):
     with pytest.raises(InvalidInputError):
-        maps.minor_map(YoungSeq((2, 2, 5)), ctx333)
+        minor_map(YoungSeq((2, 2, 5)), ctx333)
 
 
 def test_det_zero_row():

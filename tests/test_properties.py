@@ -27,10 +27,9 @@ from qgrass.polyring import (
     initial_form,
     mono_from_pairs,
     mono_mul,
-    parse_json,
-    parse_text,
 )
 
+from parsers import parse_json, parse_text
 from test_lattice import young_rank
 
 CTX = Context(3, 3, 1, 3)

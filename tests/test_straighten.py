@@ -21,7 +21,7 @@ from qgrass.straighten import (
     subduct,
 )
 
-from conftest import golden_text
+from conftest import apply_hom, golden_text, substitute
 
 
 def pair_mono(u, v):
@@ -65,7 +65,7 @@ def test_psi_kills_hibi_binomials(params):
     ctx = Context(*params)
     for u, v in incomparable_pairs(ctx):
         quad = hibi_binomial(u, v, ctx)
-        image = polyring.substitute(
+        image = substitute(
             quad.poly, lambda w: Polynomial.term(maps.psi(w, ctx))
         )
         assert image.is_zero()
@@ -217,7 +217,7 @@ def test_straightening_golden(ctx333):
     )
     assert len(quad.poly.terms) == 30
     assert sorted(c for c in quad.poly.terms.values() if abs(c) == 2) == [-2, -2, -2, -2, 2, 2, 2, 2, 2, 2]
-    assert maps.apply_hom(quad.poly, ctx333).is_zero()
+    assert apply_hom(quad.poly, ctx333).is_zero()
 
 
 def test_straightening_shape(ctx333):
@@ -228,7 +228,7 @@ def test_straightening_shape(ctx333):
         terms = corder.sorted_terms(quad.poly)
         assert terms[0] == (pair_mono(g, d), 1)
         assert terms[1] == (pair_mono(meet, join), -1)
-        assert maps.apply_hom(quad.poly, ctx333).is_zero()
+        assert apply_hom(quad.poly, ctx333).is_zero()
 
 
 def test_erasing_tail_gives_hibi(ctx333):

@@ -18,13 +18,15 @@ from qgrass.syzygy import (
     weight_initial_r,
 )
 
+from conftest import apply_hom, substitute
+
 
 def pair_mono(u, v):
     return mono_from_pairs([(u, 1), (v, 1)])
 
 
 def chi_image(f, ctx):
-    return polyring.substitute(f, lambda u: maps.chi(u, ctx))
+    return substitute(f, lambda u: maps.chi(u, ctx))
 
 
 def solve_based_lift(t, ctx):
@@ -153,7 +155,7 @@ def test_quantum_syzygy_v_properties(ctx333):
     sample = incomparable_pairs(ctx333)[::41]
     for t in sample:
         v = quantum_syzygy_v(t, ctx333)
-        assert maps.apply_hom(v, ctx333).is_zero()
+        assert apply_hom(v, ctx333).is_zero()
         assert initial_form(v, shift_weight) == skew_syzygy_w(t, ctx333)
 
 
@@ -179,7 +181,7 @@ def test_relations_vanish_and_lie_in_kernel_span():
     rels = coefficient_relations(ctx)
     mask = straighten.interval_mask(ctx, None)
     for f in rels[::10]:
-        assert maps.apply_hom(f, ctx, mask).is_zero()
+        assert apply_hom(f, ctx, mask).is_zero()
     basis = straighten.kernel_quadrics_oracle(ctx)
     from qgrass import linalg
 
