@@ -19,12 +19,7 @@ import sys
 from typing import Optional
 
 from . import lattice, maps, polyring, straighten, syzygy
-from .errors import (
-    InternalInconsistencyError,
-    NotInInitialAlgebraError,
-    QgrassError,
-    SagbiFailureError,
-)
+from .errors import InternalInconsistencyError, QgrassError, SagbiFailureError
 from .lattice import Context, PluckerVar
 
 USAGE_ERROR = 1
@@ -272,7 +267,7 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     try:
         ctx = resolve_context(args)
         return _dispatch(args, ctx, out)
-    except (SagbiFailureError, NotInInitialAlgebraError, InternalInconsistencyError) as exc:
+    except (SagbiFailureError, InternalInconsistencyError) as exc:
         print(f"qgrass: mathematical failure: {exc}", file=sys.stderr)
         return MATH_ERROR
     except QgrassError as exc:

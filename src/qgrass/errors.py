@@ -20,9 +20,9 @@ class NotInImageError(QgrassError, ValueError):
 class NotInInitialAlgebraError(QgrassError):
     """A monomial admits no factorization into generator leading monomials.
 
-    Carries the offending monomial as a witness; surfacing one of these
-    during subduction is a sagbi-failure certificate for the generator set
-    in use.
+    Carries the offending monomial as a witness.  Only
+    straighten.factor_initial raises it; subduction looks its leads up in
+    the subduction table and never factors a monomial.
     """
 
     def __init__(self, monomial):

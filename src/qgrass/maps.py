@@ -157,20 +157,20 @@ def schubert_mask(
 
 def young_mask(
     ctx: Context,
-    top: Optional[YoungSeq] = None,
+    top: YoungSeq,
     bottom: Optional[YoungSeq] = None,
 ) -> SpecMask:
     """Mask keeping, in row i, the stacked columns between the sequence bounds.
 
-    Row i keeps columns from bottom[p+1-i] through top[p+1-i]; the window
-    bounds are attached to the rows in reverse order, as in psi.  On the
-    Young sequences of lattice elements this is the definition of the cell
-    and skew-cell masks (schubert_mask).
+    Row i keeps columns from bottom[p+1-i], or 1 with no bottom, through
+    top[p+1-i]; the bounds are attached to the rows in reverse order, as in
+    psi.  On the Young sequences of lattice elements this is the definition
+    of the cell and skew-cell masks (schubert_mask).
     """
     p, w = ctx.p, ctx.width
     zeroed = set()
     for i in range(1, p + 1):
-        hi = top.entries[p - i] if top is not None else ctx.stacked_width
+        hi = top.entries[p - i]
         lo = bottom.entries[p - i] if bottom is not None else 1
         for c in range(1, ctx.stacked_width + 1):
             if c > hi or c < lo:

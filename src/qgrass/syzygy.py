@@ -133,7 +133,10 @@ def coefficient_relations(ctx: Context) -> list[Polynomial]:
     generating polynomials g_alpha(t) = sum_a alpha^(a) t^a, vanishes
     identically in t; the coefficient of each power of t is a quadratic
     relation of the truncated ring.  Ordered by classical relation, then by
-    t-degree.
+    t-degree.  No layer is zero: a term c*x*y puts c on x^(a)*y^(r-a) for
+    each split a of r with both parts in [0, q], of which there is one at
+    least; distinct terms lift to distinct monomials, and the splits of one
+    term add only c, so nothing cancels in any of the 2q+1 layers.
     """
     classical_ctx = Context(ctx.p, ctx.m, 0, 0)
     classical = straighten.reduced_groebner(classical_ctx)
@@ -149,10 +152,7 @@ def coefficient_relations(ctx: Context) -> list[Polynomial]:
                     lifted = polyring.pair_mono(lx, ly)
                     layer = graded.setdefault(cx + cy, {})
                     layer[lifted] = layer.get(lifted, 0) + c
-        for r in range(2 * ctx.q + 1):
-            f = Polynomial(graded.get(r, {}))
-            if f:
-                out.append(f)
+        out.extend(Polynomial(graded[r]) for r in range(2 * ctx.q + 1))
     return out
 
 

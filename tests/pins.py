@@ -29,6 +29,9 @@ PINS = [
      "4c82a221b575ce7fe118b2e8cdf0764bf4ef570a3017e80b6d3438af9095f376"),
     ("--p 1 --m 1 --q 0 poset list", 0,
      "30599e1bc5cba3224647d7a7568b9f56dc5c1c1538a7f633114657b97604b42f"),
+    # neither --n nor --q: the classical context, n = q = 0
+    ("--p 2 --m 2 poset list", 0,
+     "e0cb12d01afdf713477f9472dbcd24849890f7525ec1a86b8131acd8ae649178"),
     ("--p 3 --m 4 --q 2 poset rank 235^2", 0,
      "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60"),
     ("--p 3 --m 3 --n 1 --q 3 groebner", 0,
@@ -37,6 +40,11 @@ PINS = [
      "6b0f5558b2fa7871f03f3f002fef2d3e8e6116af54b3912903081fc4963739c0"),
     ("--p 3 --m 3 --n 1 --q 2 groebner", 0,
      "ea3ca1a080778776d22c604453389caaecf8a9287a5679eabb0915a0b4c38204"),
+    # the JSON form of groebner, on the full context and on a skew cell
+    ("--p 2 --m 2 --n 1 --q 2 --format json groebner", 0,
+     "7ab9f4ea4f10c6c56fa7745f8ff309d0b9c8986115a72e86a496661c3fc6ba04"),
+    ("--p 3 --m 3 --n 1 --compact --format json groebner --interval 146^1 235^2", 0,
+     "fe19b15a610c0536d75f57da1eac2568b430784e3d023bcd1717a80db1ba9c86"),
     ("--p 3 --m 3 --n 1 --q 3 sagbi-check", 0,
      "e89267594303fd91bf387309faf95eddb2e2100e0131efb686d4c1c451dee240"),
     ("--p 3 --m 3 --n 1 --q 2 obvious --rank", 0,

@@ -165,6 +165,13 @@ def test_json_output_validates_against_schema():
         code, out = run_cli(*argv)
         assert code == 0
         jsonschema.validate(json.loads(out), schema)
+    # groebner embeds one polynomial document per quadric
+    code, out = run_cli("--p", "2", "--m", "2", "--n", "1", "--format", "json", "groebner")
+    assert code == 0
+    quadrics = json.loads(out)
+    assert quadrics
+    for quadric in quadrics:
+        jsonschema.validate(quadric["poly"], schema)
 
 
 def test_identical_invocations_identical_bytes():
@@ -267,6 +274,7 @@ C3313 = ["--p", "3", "--m", "3", "--n", "1", "--q", "3"]
         (C3313 + ["phi", "999^9"], "columns must be strictly increasing: 9,9,9^9"),
         (C3313 + ["pi", "12,13,14^0"], "columns must lie in [1, 6]: 12,13,14^0"),
         (C3313 + ["poset", "rank", "124^4"], "shift exceeds q=3: 1,2,4^4"),
+        (C3313 + ["poset", "rank", "23^1"], "expected 3 columns in '23^1'"),
     ],
 )
 def test_errors_name_elements_as_the_command_line_writes_them(capsys, argv, message):

@@ -248,6 +248,19 @@ def test_from_young_rejects_wide_spans():
         from_young(YoungSeq((1, 8)), Context(2, 2, 1, 2))  # span 7 >= m+p=4
 
 
+# each case names the statement of lattice that it reaches and no command runs
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param((1, 2, 3, 4), id="from_young-length-refusal-p+1"),
+        pytest.param((1, 2), id="from_young-length-refusal-p-1"),
+    ],
+)
+def test_library_paths(entries):
+    with pytest.raises(InvalidInputError, match="expected 3 entries"):
+        from_young(YoungSeq(entries), C331)
+
+
 def test_young_is_order_isomorphism():
     ctx = Context(2, 3, 1, 2)
     elems = elements(ctx)

@@ -95,6 +95,20 @@ def test_psi_invert(ctx333):
     assert psi_invert(bad, ctx333) is None
 
 
+# each case names the statement of maps that it reaches and no command runs
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param((1, 1, 2), id="psi_invert-rows-not-1..p-repeated"),
+        pytest.param((2, 3, 4), id="psi_invert-rows-not-1..p-shifted"),
+    ],
+)
+def test_library_paths(ctx333, rows):
+    # degree p and squarefree, so only the row check refuses it
+    mono = polyring.mono_from_pairs((XVar(i, j, 0), 1) for j, i in enumerate(rows, start=1))
+    assert psi_invert(mono, ctx333) is None
+
+
 def test_chi_equals_weight_initial_form(ctx333):
     w = lambda v: -((ctx333.p * v.level + v.row) ** 2)
     for u in elements(ctx333):

@@ -121,6 +121,19 @@ def test_skew_syzygy_rejects_standard(ctx333):
             skew_syzygy_w(tuple(map(parse_var, rows)), ctx333)
 
 
+# each case names the statement of syzygy that it reaches and no command runs
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(("156^1", "234^2", "456^3"), id="skew_syzygy_w-three-rows"),
+        pytest.param(("156^1",), id="skew_syzygy_w-one-row"),
+    ],
+)
+def test_library_paths(ctx333, rows):
+    with pytest.raises(InvalidInputError, match="expected a two-row tableau"):
+        skew_syzygy_w(tuple(map(parse_var, rows)), ctx333)
+
+
 def test_skew_syzygy_lead_and_kernel_exhaustive(ctx333):
     # every ordered incomparable pair: exactly the canonical orders are
     # accepted, each leading with its tableau; the reversed ones are refused
