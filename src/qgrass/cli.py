@@ -233,19 +233,22 @@ _COMMANDS = {
 
 
 def _add_commands(parser, table, dest) -> None:
+    # run calls the handler that the chosen leaf sets; argparse names dest
+    # in its missing-subcommand message
     sub = parser.add_subparsers(dest=dest, required=True, parser_class=_DeferredParser)
-    for name, (help_line, spec, _) in table.items():
+    for name, (help_line, spec, handler) in table.items():
         if isinstance(spec, dict):
             configure = functools.partial(_add_commands, table=spec, dest=f"{name}_command")
         else:
-            configure = functools.partial(_add_arguments, spec)
+            configure = functools.partial(_add_arguments, spec, handler)
         kwargs = {} if help_line is None else {"help": help_line}
         sub.add_parser(name, configure=configure, **kwargs)
 
 
-def _add_arguments(spec, parser) -> None:
+def _add_arguments(spec, handler, parser) -> None:
     for name, kwargs in spec:
         parser.add_argument(name, **kwargs)
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,24 +269,13 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx = resolve_context(args)
-        return _dispatch(args, ctx, out)
+        return args.handler(args, ctx, out) or 0
     except (SagbiFailureError, InternalInconsistencyError) as exc:
         print(f"qgrass: mathematical failure: {exc}", file=sys.stderr)
         return MATH_ERROR
     except QgrassError as exc:
         print(f"qgrass: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-def _dispatch(args, ctx: Context, out, table=_COMMANDS, dest="command") -> int:
-    """Run the handler that args names, through the dests that _add_commands sets."""
-    name = getattr(args, dest)
-    if name not in table:
-        raise InternalInconsistencyError(f"unhandled command {name!r}")
-    _, spec, handler = table[name]
-    if isinstance(spec, dict):
-        return _dispatch(args, ctx, out, spec, f"{name}_command")
-    return handler(args, ctx, out) or 0
 
 
 def main() -> None:

@@ -8,7 +8,6 @@ exact maximal-chain counting all live here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import re
@@ -233,43 +232,33 @@ def linear_key(u: PluckerVar, ctx: Context):
     return (u.shift, rank(u, ctx), u.cols)
 
 
-@functools.lru_cache(maxsize=None)
-def _all_elements(ctx: Context) -> tuple[PluckerVar, ...]:
+def elements(
+    ctx: Context,
+    interval: Optional[tuple[PluckerVar, PluckerVar]] = None,
+) -> list[PluckerVar]:
+    """All lattice elements (optionally within a closed interval), canonically
+    ordered, as a fresh list.
+
+    The interval filter calls leq: comparing young_codes would first code
+    every element of the context, which costs more than the filter's own
+    leq calls (measured on the skew benchmark's intervals; ROADMAP item
+    12)."""
+    if interval is not None:
+        bot, top = interval
+        validate_var(bot, ctx)
+        validate_var(top, ctx)
+        if not leq(bot, top):
+            below = f"{format_var(bot)} is not below {format_var(top)}"
+            raise InvalidInputError(f"invalid interval: {below}")
     out = [
         PluckerVar(cols, shift)
         for shift in range(ctx.q + 1)
         for cols in itertools.combinations(range(1, ctx.width + 1), ctx.p)
     ]
     out.sort(key=lambda u: linear_key(u, ctx))
-    return tuple(out)
-
-
-def elements(
-    ctx: Context,
-    interval: Optional[tuple[PluckerVar, PluckerVar]] = None,
-) -> list[PluckerVar]:
-    """All lattice elements (optionally within a closed interval), canonically
-    ordered, as a fresh list."""
     if interval is None:
-        return list(_all_elements(ctx))
-    bot, top = interval
-    return list(_interval_elements(ctx, bot, top))
-
-
-@functools.lru_cache(maxsize=None)
-def _interval_elements(ctx: Context, bot: PluckerVar, top: PluckerVar) -> tuple[PluckerVar, ...]:
-    """The elements of [bot, top], filtered once per interval; an invalid
-    interval raises, and so is not cached.
-
-    The filter calls leq: comparing young_codes would first code every
-    element of the context, which costs more than the filter's own leq
-    calls (measured on the skew benchmark's intervals)."""
-    validate_var(bot, ctx)
-    validate_var(top, ctx)
-    if not leq(bot, top):
-        below = f"{format_var(bot)} is not below {format_var(top)}"
-        raise InvalidInputError(f"invalid interval: {below}")
-    return tuple(u for u in _all_elements(ctx) if leq(bot, u) and leq(u, top))
+        return out
+    return [u for u in out if leq(bot, u) and leq(u, top)]
 
 
 def incomparable_pairs(
@@ -301,10 +290,11 @@ def count_maximal_chains(
     other at rank distance one.  Counts grow fast, so everything stays in
     arbitrary-precision integers.  elements refuses an invalid interval.
     """
-    if interval is None:
-        interval = (bottom(ctx), top(ctx))
+    # without an interval every element u = alpha^a lies in [bottom, top]:
+    # with 0-based i, alpha[i + a] >= i + a + 1 >= i + 1, and
+    # alpha[i] <= m + 1 + i <= top.cols[i + q - a]
     elems = elements(ctx, interval)
-    bot, topv = interval
+    bot, topv = (bottom(ctx), top(ctx)) if interval is None else interval
     by_rank: dict[int, list[PluckerVar]] = {}
     for u in elems:
         by_rank.setdefault(rank(u, ctx), []).append(u)
