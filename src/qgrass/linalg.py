@@ -2,18 +2,22 @@
 
 Rows are dicts from hashable column labels to nonzero coefficients; a key
 function orders the columns, and every row pivots on its largest column.
-One incremental eliminator supports reduction against a basis, nullspace
-extraction, and solving for a vector inside a span; rank_of only counts
-pivots, by a lead-first echelon pass with no tags.  Integer entries stay
-int: a row is made monic by multiplying with its lead when that lead is 1
-or -1, and a Fraction appears only for any other lead.
+One incremental eliminator, an echelon form reduced lead first, serves
+the rank count, nullspace extraction and solving for a vector inside a
+span.  Integer entries stay int: a row is made monic by multiplying with
+its lead when that lead is 1 or -1, and a Fraction appears only for any
+other lead.
 
-The eliminator's stored basis is kept in reduced row-echelon form: every
-pivot column appears in exactly one stored row, its own, with coefficient
-1, and it is that row's largest column.  Eliminating a pivot column
-therefore brings in no other pivot column, so a row is fully reduced by
-one pass over the pivot columns it holds, in any order (Cox, Little and
-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).
+A row is reduced lead first: while its largest column is the pivot of a
+stored row, that row's multiple is subtracted.  Stored rows are never
+reduced further, so a pivot column may still appear in other stored rows,
+below their leads.  A row lies in the span of the rows before it iff its
+reduction ends at zero: every step subtracts a stored row, and a nonzero
+residual leads with a column that no stored row leads with, so it is
+independent of them (distinct pivots).  The combination a dependent row
+returns is unique when the stored rows came from independent rows, so it
+does not depend on which echelon form is stored (Cox, Little and O'Shea,
+*Ideals, Varieties, and Algorithms*, ch. 2).
 """
 
 from __future__ import annotations
@@ -38,83 +42,54 @@ class Eliminator:
 
     Each stored row carries a tag vector recording how it was assembled
     from the rows fed in, so nullspace vectors and span coordinates come
-    out of the same elimination.  The stored rows stay reduced: each pivot
-    column lives only in its own row, with coefficient 1, as that row's
-    largest column; add back-substitutes every new pivot to keep it so.
+    out of the same elimination.  Each stored row is monic at its pivot
+    column, which is its largest column.
     """
 
     def __init__(self, col_key: Callable):
         self.col_key = col_key
         self.pivots: dict = {}  # pivot column -> (row, tag)
 
-    def reduce(self, row: dict, tag: Optional[dict] = None) -> tuple[dict, dict]:
-        """Fully reduce a row against the basis; returns (residual, combination).
+    def add(self, row: dict, tag: Optional[dict] = None) -> Optional[dict]:
+        """Insert a row; returns None if it increased the rank, else the
+        combination expressing it in terms of previously added rows.
 
-        The combination accumulates the tags of the pivot rows used, so that
-        row == residual + sum(combination[j] * original_row_j).
+        The combination accumulates the tags of the pivot rows subtracted,
+        so that row == sum(combination[j] * original_row_j).
         """
         row = dict(row)
-        combo: dict = {} if tag is None else dict(tag)
-        for c in [c for c in row if c in self.pivots]:
-            base, base_tag = self.pivots[c]
+        combo: dict = {}
+        while row:
+            c = max(row, key=self.col_key)
+            pivot = self.pivots.get(c)
+            if pivot is None:
+                lead = row[c]
+                # 1/lead: the unit lead itself keeps integer rows integer
+                inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
+                # row is a fresh dict, so a residual led by 1 is stored as is
+                monic = row if lead == 1 else {k: v * inv for k, v in row.items()}
+                # tag tracks: monic = (incoming - sum combo_j . row_j) / lead
+                new_tag = {k: -v * inv for k, v in combo.items()}
+                _add_scaled(new_tag, tag or {}, inv)
+                self.pivots[c] = (monic, new_tag)
+                return None
+            base, base_tag = pivot
             f = row[c]
             _add_scaled(row, base, -f)
             _add_scaled(combo, base_tag, f)
-        return row, combo
-
-    def add(self, row: dict, tag: Optional[dict] = None) -> Optional[dict]:
-        """Insert a row; returns None if it increased the rank, else the
-        combination expressing it in terms of previously added rows."""
-        residual, combo = self.reduce(row, None)
-        if not residual:
-            return combo
-        c = max(residual, key=self.col_key)
-        lead = residual[c]
-        # 1/lead: the unit lead itself keeps integer rows integer
-        inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
-        # reduce returned a fresh dict, so a residual led by 1 is stored as is
-        monic = residual if lead == 1 else {k: v * inv for k, v in residual.items()}
-        # tag tracks: monic = (incoming - sum combo_j . row_j) / lead
-        new_tag = {k: -v * inv for k, v in combo.items()}
-        _add_scaled(new_tag, tag or {}, inv)
-        # back-substitute into existing rows to keep the basis reduced
-        for base, base_tag in self.pivots.values():
-            if c in base:
-                f = base[c]
-                _add_scaled(base, monic, -f)
-                _add_scaled(base_tag, new_tag, -f)
-        self.pivots[c] = (monic, new_tag)
-        return None
+        return combo
 
 
 def rank_of(rows: list[dict], col_key: Callable) -> int:
-    """Rank of the rows by an echelon count, with no tags.
+    """Rank of the rows: the number that an Eliminator stores.
 
-    Each row is reduced lead first: while its largest column is the pivot
-    of a stored row, that row's multiple is subtracted; a nonzero residual
-    is stored, monic, as the pivot row of its largest column.  Stored rows
-    are never reduced further, so a pivot column may still appear in other
-    stored rows, below their leads.  A row lies in the span of the rows before it iff its
-    reduction ends at zero: every step subtracts a stored row, and a
-    nonzero residual leads with a column that no stored row leads with, so
-    it is independent of them (distinct pivots).  The count is the rank
-    whatever reduced form the stored rows have, so no back-substitution is
-    done; the column key is called once per column.
+    The column key is called once per column, through a memo.
     """
     keys = {c: col_key(c) for c in {c for r in rows for c in r}}
-    pivots: dict = {}  # pivot column -> monic row led by it
+    elim = Eliminator(keys.__getitem__)
     for r in rows:
-        row = dict(r)
-        while row:
-            c = max(row, key=keys.__getitem__)
-            base = pivots.get(c)
-            if base is None:
-                lead = row[c]
-                inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
-                pivots[c] = row if lead == 1 else {k: v * inv for k, v in row.items()}
-                break
-            _add_scaled(row, base, -row[c])
-    return len(pivots)
+        elim.add(r)
+    return len(elim.pivots)
 
 
 def nullspace(rows: list[dict], col_key: Callable) -> list[dict]:
@@ -123,9 +98,9 @@ def nullspace(rows: list[dict], col_key: Callable) -> list[dict]:
     Tags are indexed by row position; each returned dict maps row indices
     to rational coefficients with sum_i coeff[i] * rows[i] == 0.  Row i
     goes through Eliminator.add tagged {i: 1}; if it is dependent, its
-    vector is e_i minus a combination of the independent rows j < i, so the
-    list is the reduced row-echelon basis keyed by row index: each vector
-    has 1 at its largest index, which no other vector holds.
+    vector is e_i minus the unique combination of the independent rows
+    j < i, so the list is the reduced row-echelon basis keyed by row index:
+    each vector has 1 at its largest index, which no other vector holds.
     """
     elim = Eliminator(col_key)
     out = []
@@ -150,7 +125,4 @@ def solve_in_span(
     for i, r in enumerate(rows):
         if elim.add(r, tag={i: 1}) is not None:
             raise InternalInconsistencyError("solve_in_span expects independent rows")
-    residual, combo = elim.reduce(target)
-    if residual:
-        return None
-    return combo
+    return elim.add(target)

@@ -224,15 +224,36 @@ DEFECTS = (
     Defect(
         "rank_of also counts a row whose reduction ends at zero",
         "linalg.py",
-        "            _add_scaled(row, base, -row[c])\n    return len(pivots)\n",
-        "            _add_scaled(row, base, -row[c])\n"
-        "        else:\n"
-        "            pivots[object()] = row\n"
-        "    return len(pivots)\n",
+        "        elim.add(r)\n    return len(elim.pivots)\n",
+        "        if elim.add(r) is not None:\n"
+        "            elim.pivots[object()] = r\n"
+        "    return len(elim.pivots)\n",
         (
             "tests/test_syzygy.py::test_rank_of_span_duplicates",
             "tests/test_syzygy.py::test_lifted_plucker_relations_span_the_coefficient_relations[params0-25]",
             "tests/test_syzygy.py::test_plucker_relations_span_the_classical_quadrics[2-2]",
+        ),
+    ),
+    Defect(
+        "Eliminator.add's combination skips a subtracted row's tag",
+        "linalg.py",
+        "            _add_scaled(row, base, -f)\n            _add_scaled(combo, base_tag, f)\n",
+        "            _add_scaled(row, base, -f)\n",
+        (
+            "tests/test_linalg.py::test_reduce_and_add_match_reference",
+            "tests/test_linalg.py::test_nullspace_and_rank_match_reference",
+            "tests/test_fast_paths.py::test_kernel_oracle_is_the_reduced_kernel_basis[params0-None]",
+        ),
+    ),
+    Defect(
+        "Eliminator.add stores a residual with a non-unit lead without making it monic",
+        "linalg.py",
+        "inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)",
+        "inv = int(lead) if lead in (1, -1) else 1",
+        (
+            # a later reduction against such a row never clears its lead
+            # and loops, so the one killer is a test that fails first
+            "tests/test_linalg.py::test_non_unit_pivot_still_matches_reference",
         ),
     ),
     Defect(

@@ -263,8 +263,7 @@ def test_classical_p2_matches_oracle():
     elim = linalg.Eliminator(ckey)
     for b in basis:
         elim.add(dict(b.terms))
-    residual, _ = elim.reduce(dict(quad.poly.terms))
-    assert not residual
+    assert elim.add(dict(quad.poly.terms)) is not None
 
 
 def test_skew_groebner_14_4(ctx333):
@@ -323,8 +322,7 @@ def test_oracle_cross_check_random_relations():
         elim.add(dict(b.terms))
     for g, d in incomparable_pairs(ctx)[::5]:
         quad = straightening_relation(g, d, ctx)
-        residual, _ = elim.reduce(dict(quad.poly.terms))
-        assert not residual
+        assert elim.add(dict(quad.poly.terms)) is not None
 
 
 def test_straightening_rejects_comparable(ctx333):

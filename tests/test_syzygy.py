@@ -203,8 +203,7 @@ def test_relations_vanish_and_lie_in_kernel_span():
     for b in basis:
         elim.add(dict(b.terms))
     for f in rels:
-        residual, _ = elim.reduce(dict(f.terms))
-        assert not residual
+        assert elim.add(dict(f.terms)) is not None
 
 
 @pytest.mark.parametrize(
