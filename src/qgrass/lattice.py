@@ -239,10 +239,17 @@ def elements(
     """All lattice elements (optionally within a closed interval), canonically
     ordered, as a fresh list.
 
+    Within one shift, linear_key order is (sum of the columns, columns),
+    since the rank is shift*(m+p) + sum(cols) - p(p+1)/2.  So the column
+    sets are sorted once and listed under each shift in turn.  Shifts
+    weakly increase along the order, so an interval's elements have shifts
+    from its bottom's through its top's, and only that band is filtered.
+
     The interval filter calls leq: comparing young_codes would first code
-    every element of the context, which costs more than the filter's own
+    every element of the band, which costs more than the filter's own
     leq calls (measured on the skew benchmark's intervals; ROADMAP item
     12)."""
+    shifts = range(ctx.q + 1)
     if interval is not None:
         bot, top = interval
         validate_var(bot, ctx)
@@ -250,12 +257,11 @@ def elements(
         if not leq(bot, top):
             below = f"{format_var(bot)} is not below {format_var(top)}"
             raise InvalidInputError(f"invalid interval: {below}")
-    out = [
-        PluckerVar(cols, shift)
-        for shift in range(ctx.q + 1)
-        for cols in itertools.combinations(range(1, ctx.width + 1), ctx.p)
-    ]
-    out.sort(key=lambda u: linear_key(u, ctx))
+        shifts = range(bot.shift, top.shift + 1)
+    # combinations come in lexicographic order, which the stable sort keeps
+    # among column sets of equal sum
+    column_sets = sorted(itertools.combinations(range(1, ctx.width + 1), ctx.p), key=sum)
+    out = [PluckerVar(cols, shift) for shift in shifts for cols in column_sets]
     if interval is None:
         return out
     return [u for u in out if leq(bot, u) and leq(u, top)]

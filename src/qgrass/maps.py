@@ -60,13 +60,16 @@ def psi(u: PluckerVar, ctx: Context) -> Mono:
 
     Row i takes the (p+1-i)-th entry of to_young(u), so that a shift
     p*l + r puts rows r+1..p at level l and rows 1..r at level l+1.
+    Its p variables lie in distinct rows, so sorting its pairs gives the Mono.
     """
     lattice.validate_var(u, ctx, bound_shift=False)
     w = ctx.width
     entries = lattice.to_young(u, ctx).entries
-    return polyring.mono_from_pairs(
-        (XVar(i, residue(c, w), stacked_level(c, w)), 1)
-        for i, c in enumerate(reversed(entries), start=1)
+    return tuple(
+        sorted(
+            (XVar(i, residue(c, w), stacked_level(c, w)), 1)
+            for i, c in enumerate(reversed(entries), start=1)
+        )
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -338,7 +339,7 @@ def leibniz(block: list[list]):
     if any(len(row) != n for row in block):
         raise InvalidInputError("determinant of a non-square matrix")
     for perm, sign in signed_permutations(n):
-        entries = [row[j] for row, j in zip(block, perm)]
+        entries = list(map(operator.getitem, block, perm))
         if None not in entries:
             yield entries, sign
 

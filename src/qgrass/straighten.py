@@ -217,23 +217,24 @@ def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> N
     b, its negative terms those of opposite signs.  With |c| == 1 each
     sign is counted in one pass of collections._count_elements, the C loop
     behind Counter.update, on the plain dicts, over the chain of its two
-    factor products; any other c (an integer step of 2 or more) is added
-    term by term, which is already faster than two C passes.
+    factor products: the two passes are made directly, since an image has
+    a handful of terms and most calls are unit steps.  Any other c (an
+    integer step of 2 or more) is added term by term, which is already
+    faster than two C passes.
     """
     if c < 0:
         c, pos, neg = -c, neg, pos
     (a_pos, a_neg), (b_pos, b_neg) = a, b
-    product, chain = itertools.product, itertools.chain
-    for counts, pairs in (
-        (pos, chain(product(a_pos, b_pos), product(a_neg, b_neg))),
-        (neg, chain(product(a_pos, b_neg), product(a_neg, b_pos))),
-    ):
-        terms = itertools.starmap(operator.add, pairs)
-        if c == 1:
-            _count_elements(counts, terms)
-        else:
-            for w in terms:
-                counts[w] = counts.get(w, 0) + c
+    product, chain, starmap = itertools.product, itertools.chain, itertools.starmap
+    same = chain(product(a_pos, b_pos), product(a_neg, b_neg))
+    mixed = chain(product(a_pos, b_neg), product(a_neg, b_pos))
+    if c == 1:
+        _count_elements(pos, starmap(operator.add, same))
+        _count_elements(neg, starmap(operator.add, mixed))
+        return
+    for counts, pairs in ((pos, same), (neg, mixed)):
+        for w in starmap(operator.add, pairs):
+            counts[w] = counts.get(w, 0) + c
 
 
 def _net(pos: dict, neg: dict) -> dict:
@@ -364,6 +365,11 @@ def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Qu
     straddle) are asserted rather than assumed.  They make every step pair
     comparable, so no trailing term is an incomparable product: the first
     is meet <= join, and each later (u, v) has u <= meet <= join <= v.
+
+    The terms are filled in directly: the lead is an incomparable pair and
+    each step a standard pair at its own lead (lead_pairs holds one pair
+    per lead), so no two share a monomial, and every coefficient is a
+    nonzero int, which the Polynomial constructor would only re-check.
     """
     if trace.remainder:
         raise SagbiFailureError((gamma, delta), trace.witness)
@@ -372,11 +378,10 @@ def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Qu
         raise InternalInconsistencyError(
             f"first subduction step is not the meet/join pair for ({gamma!r}, {delta!r})"
         )
-    terms = {polyring.pair_mono(gamma, delta): 1}
+    poly = Polynomial()
+    poly.terms[polyring.pair_mono(gamma, delta)] = 1
     for (u, v), c in trace.steps:
-        m = polyring.pair_mono(u, v)
-        terms[m] = terms.get(m, 0) - c
-    poly = Polynomial(terms)
+        poly.terms[polyring.pair_mono(u, v)] = -c
     for (u, v), _ in trace.steps[1:]:
         if not (
             lattice.leq(u, meet) and u != meet and lattice.leq(join, v) and v != join

@@ -9,8 +9,10 @@ code fails there, naming the defect, and the entry is updated with it.
 Run as a script, outside tier-1, it plants each defect in turn (or those
 whose labels are given as arguments) in a copy of the repository, schemas
 and all but without .git, and runs the recorded killers there; only when
-every killer passes does it run the rest of tier-1.  It prints
-"killed" or "survived" per defect and exits 1 if any defect survived:
+every killer passes does it run the rest of tier-1.  A pytest run still
+going after TIMEOUT_S seconds is stopped, and its defect counts as killed
+(a hang is a failure).  It prints "killed", "killed (timed out after N
+s)" or "survived" per defect and exits 1 if any defect survived:
 
     python tests/defects.py [LABEL ...]
 
@@ -22,15 +24,19 @@ Standard library only.
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qgrass"
 # tier-1, less the table's own check, which a planted defect fails by construction
 TIER1 = ["-q", "--continue-on-collection-errors", "--ignore=tests/test_defects.py"]
+# a pytest run still going after this long hangs (tier-1 takes under two
+# minutes), and a hang is a kill: a defect can make a loop run forever
+TIMEOUT_S = 900
 
 
 class Defect(NamedTuple):
@@ -351,6 +357,39 @@ DEFECTS = (
         ),
     ),
     Defect(
+        "cli.run does not re-enable the collector",
+        "cli.py",
+        "            gc.enable()\n",
+        "            pass\n",
+        (
+            "tests/test_cli.py::test_a_run_leaves_the_collector_as_it_found_it[exit 0-enabled]",
+            "tests/test_cli.py::test_a_run_leaves_the_collector_as_it_found_it[SystemExit-enabled]",
+            "tests/test_cli.py::test_a_failed_run_leaves_the_collector_as_it_found_it[enabled]",
+        ),
+    ),
+    Defect(
+        "elements drops an interval's top shift",
+        "lattice.py",
+        "shifts = range(bot.shift, top.shift + 1)",
+        "shifts = range(bot.shift, top.shift)",
+        (
+            "tests/test_lattice.py::test_element_counts",
+            "tests/test_lattice.py::test_elements_match_reference_on_every_interval[(2, 2, 1, 2)]",
+            "tests/test_lattice.py::test_elements_match_reference_on_sampled_intervals",
+        ),
+    ),
+    Defect(
+        "_count_product's unit path counts the mixed-sign products as positive",
+        "straighten.py",
+        "_count_elements(neg, starmap(operator.add, mixed))",
+        "_count_elements(pos, starmap(operator.add, mixed))",
+        (
+            "tests/test_fast_paths.py::test_count_product_matches_polynomial_product",
+            "tests/test_straighten.py::test_subduct_thirty_term_relation_steps",
+            "tests/test_straighten.py::test_classical_p2_matches_oracle",
+        ),
+    ),
+    Defect(
         "pi drops its sign epsilon(J)",
         "maps.py",
         "acc[((j, 1),)] = epsilon(j, ctx)",
@@ -364,19 +403,30 @@ DEFECTS = (
 )
 
 
-def pytest(tree: pathlib.Path, args) -> int:
-    """pytest's exit code for args, run on the tier-1 settings in tree."""
+def pytest(tree: pathlib.Path, args) -> Optional[int]:
+    """pytest's exit code for args, run on the tier-1 settings in tree, or
+    None when the run is still going after TIMEOUT_S seconds: then it is
+    stopped, with every process that it started."""
     env = dict(os.environ, PYTHONPATH="src")
     cmd = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *args]
-    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL)
-    if done.returncode not in (0, 1):
-        raise RuntimeError(f"pytest exited {done.returncode} on {args}")
-    return done.returncode
+    with subprocess.Popen(
+        cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, start_new_session=True
+    ) as run:
+        try:
+            code = run.wait(TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+            return None
+    if code not in (0, 1):
+        raise RuntimeError(f"pytest exited {code} on {args}")
+    return code
 
 
-def killed(defect: Defect) -> bool:
-    """Whether a copy of the repository with the defect planted fails its
-    recorded killers or, when they all pass, the rest of tier-1."""
+def verdict(defect: Defect) -> str:
+    """"killed" when a copy of the repository with the defect planted fails
+    its recorded killers or, when they all pass, the rest of tier-1;
+    "killed (timed out ...)" when that run hangs instead; else "survived"."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = pathlib.Path(tmp) / "repo"
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
@@ -386,9 +436,14 @@ def killed(defect: Defect) -> bool:
         if text.count(defect.old) != 1:
             raise RuntimeError(f"{defect.label}: the old text does not occur exactly once")
         path.write_text(text.replace(defect.old, defect.new))
-        if defect.killers and pytest(tree, ["-q", *defect.killers]):
-            return True
-        return bool(pytest(tree, [*TIER1, "-x"]))
+        runs = ([["-q", *defect.killers]] if defect.killers else []) + [[*TIER1, "-x"]]
+        for args in runs:
+            code = pytest(tree, args)
+            if code is None:
+                return f"killed (timed out after {TIMEOUT_S} s)"
+            if code:
+                return "killed"
+        return "survived"
 
 
 def main(labels) -> int:
@@ -398,9 +453,9 @@ def main(labels) -> int:
         return 2
     survivors = 0
     for defect in chosen:
-        verdict = "killed" if killed(defect) else "survived"
-        survivors += verdict == "survived"
-        print(f"{verdict}: {defect.label}", flush=True)
+        outcome = verdict(defect)
+        survivors += outcome == "survived"
+        print(f"{outcome}: {defect.label}", flush=True)
     return 1 if survivors else 0
 
 

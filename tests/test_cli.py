@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import gc
 import hashlib
 import io
 import json
@@ -606,3 +607,58 @@ def test_a_run_builds_only_the_invoked_commands_parser(monkeypatch, capsys):
         cli.run(["--help"])
     assert exc.value.code == 0 and "sagbi-check" in capsys.readouterr().out
     assert calls == ["qgrass"]
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as it was before the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_the_collector_is_paused_inside_a_run(collector, monkeypatch):
+    gc.enable()
+    seen = []
+    real = lattice.count_maximal_chains
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "count_maximal_chains", recording)
+    assert run_cli("--p", "2", "--m", "2", "degree") == (0, "2\n")
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def _exit_code_from(argv, enabled):
+    """cli.run's exit code, or that of the SystemExit it raises, with the
+    collector set to enabled before the run; the run must leave it so."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = cli.run(argv, out=io.StringIO())
+    except SystemExit as exc:
+        code = exc.code
+    assert gc.isenabled() is enabled
+    return code
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--p", "2", "--m", "2", "degree"], 0),
+        (["--p", "2", "--m", "2", "--n", "1", "--q", "3", "degree"], 1),  # a QgrassError
+        (["--p", "2", "degree"], 1),  # argparse's SystemExit: --m is missing
+    ],
+    ids=["exit 0", "QgrassError", "SystemExit"],
+)
+def test_a_run_leaves_the_collector_as_it_found_it(collector, capsys, argv, code, enabled):
+    assert _exit_code_from(argv, enabled) == code
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_failed_run_leaves_the_collector_as_it_found_it(collector, raw_images, capsys, enabled):
+    argv = ["--p", "2", "--m", "2", "--n", "1", "--q", "1", "sagbi-check"]
+    assert _exit_code_from(argv, enabled) == cli.MATH_ERROR

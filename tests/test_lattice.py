@@ -346,6 +346,62 @@ def test_the_whole_lattice_is_the_interval_from_bottom_to_top(params):
     assert count_maximal_chains(ctx) == count_maximal_chains(ctx, whole)
 
 
+def elements_reference(ctx, interval=None):
+    """Reference: every element of the context sorted by linear_key, then
+    filtered by a valid interval, as elements built them before it listed
+    the sorted column sets under each shift of the interval's band."""
+    out = [
+        PluckerVar(cols, shift)
+        for shift in range(ctx.q + 1)
+        for cols in itertools.combinations(range(1, ctx.width + 1), ctx.p)
+    ]
+    out.sort(key=lambda u: linear_key(u, ctx))
+    if interval is None:
+        return out
+    bot, topv = interval
+    return [u for u in out if leq(bot, u) and leq(u, topv)]
+
+
+@pytest.mark.parametrize("params", LADDER + [(2, 2, 2, 4)], ids=str)
+def test_elements_match_reference(params):
+    ctx = Context(*params)
+    assert elements(ctx) == elements_reference(ctx)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 1, 2), (2, 3, 1, 2)], ids=str)
+def test_elements_match_reference_on_every_interval(params):
+    ctx = Context(*params)
+    elems = elements(ctx)
+    for bot in elems:
+        for topv in elems:
+            if leq(bot, topv):
+                assert elements(ctx, (bot, topv)) == elements_reference(ctx, (bot, topv))
+
+
+def test_elements_match_reference_on_sampled_intervals():
+    elems = elements(C331)
+    intervals = [(bot, topv) for bot in elems for topv in elems if leq(bot, topv)]
+    sample = random.Random(0).sample(intervals, 150)
+    assert any(bot.shift == topv.shift for bot, topv in sample)
+    for interval in sample:
+        assert elements(C331, interval) == elements_reference(C331, interval)
+
+
+@pytest.mark.parametrize(
+    "bot,topv,message",
+    [
+        ("2,3,5^2", "1,4,6^1", "invalid interval: 2,3,5^2 is not below 1,4,6^1"),
+        ("1,2,4^1", "1,2,3^1", "invalid interval: 1,2,4^1 is not below 1,2,3^1"),
+        ("1,2,3^0", "4,5,6^4", "shift exceeds q=3: 4,5,6^4"),
+        ("1,2^0", "4,5,6^1", "expected 3 columns, got 1,2^0"),
+    ],
+)
+def test_elements_refusals_keep_their_messages(bot, topv, message):
+    with pytest.raises(InvalidInputError) as exc:
+        elements(C331, (parse_var(bot), parse_var(topv)))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("params", CODE_CONTEXTS, ids=str)
 def test_young_codes_compare_like_leq_on_every_pair(params):
     ctx = Context(*params)
