@@ -6,6 +6,13 @@ environment lookups are involved.  Exit codes: 0 on success, 1 on usage
 errors and when the reader closes stdout, 2 on mathematical failure
 (nonzero subduction remainder or a lifted syzygy without its requested
 initial form).
+
+A command line has two readers, and both read the one table of root
+options and commands.  A plain one (exact option names, each value its
+own word) is read straight from the table, and builds no argparse parser;
+any other, help and usage errors included, goes to argparse, which builds
+every parser from the table and reads it as it always has.  Help and
+usage are wrapped at 78 columns whatever the terminal's width.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import argparse
 import functools
 import gc
 import json
-import locale  # argparse's gettext imports it at the first parser build; pay that at start-up
 import os
 import sys
 from typing import Optional
@@ -26,30 +32,18 @@ from .lattice import Context, PluckerVar
 USAGE_ERROR = 1
 MATH_ERROR = 2
 
+# help and usage wrapped at 78 columns, as argparse wraps them under
+# COLUMNS=80, whatever the terminal
+_HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HELP_FORMATTER, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-class _DeferredParser:
-    """A subcommand's parser, built only when argparse parses with it.
-
-    argparse lists a subcommand from its name and help line alone and reads
-    its parser only through `parse_known_args`, once the command line has
-    chosen it.  So a run builds the root's parser and the invoked command's
-    (and, for `poset`, its subcommand's), not one per command.
-    """
-
-    def __init__(self, configure, **kwargs):
-        self._configure = configure
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self._kwargs)
-        self._configure(parser)
-        return parser.parse_known_args(args, namespace)
 
 
 def resolve_context(args) -> Context:
@@ -183,10 +177,18 @@ _INTERVAL = ("--interval", {"nargs": 2, "metavar": ("BOT", "TOP")})
 _VAR = ("var", {})
 _JOBS_HELP = "worker processes, >= 1 (capped at the CPU count and the number of pairs)"
 
-# name -> (help line, or None to list no help; the arguments as
-# (name, add_argument keywords) in order, or a nested table of subcommands;
-# the handler (args, ctx, out), returning an exit code or None for 0, or None
-# beside a nested table)
+# the root parser's arguments, as (name, add_argument keywords) in order
+_ROOT = [
+    ("--p", {"type": int, "required": True, "help": "number of matrix rows"}),
+    ("--m", {"type": int, "required": True, "help": "column surplus"}),
+    ("--n", {"type": int, "default": None, "help": "entry degree (default: ceil(q/p))"}),
+    ("--q", {"type": int, "default": None, "help": "shift bound (default: n*p)"}),
+    ("--format", {"choices": ["text", "json"], "default": "text"}),
+    ("--compact", {"action": "store_true", "help": "compact digit form for variables"}),
+]
+# name -> (help line, or None to list no help; the arguments, as in _ROOT,
+# or a nested table of subcommands; the handler (args, ctx, out), returning
+# an exit code or None for 0, or None beside a nested table)
 _POSET_COMMANDS = {
     "list": (None, [_INTERVAL], _poset_list),
     "pairs": (None, [_INTERVAL], _poset_pairs),
@@ -236,49 +238,140 @@ _COMMANDS = {
 def _add_commands(parser, table, dest) -> None:
     # run calls the handler that the chosen leaf sets; argparse names dest
     # in its missing-subcommand message
-    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_DeferredParser)
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_line, spec, handler) in table.items():
+        command = sub.add_parser(name, **({} if help_line is None else {"help": help_line}))
         if isinstance(spec, dict):
-            configure = functools.partial(_add_commands, table=spec, dest=f"{name}_command")
+            _add_commands(command, spec, f"{name}_command")
         else:
-            configure = functools.partial(_add_arguments, spec, handler)
-        kwargs = {} if help_line is None else {"help": help_line}
-        sub.add_parser(name, configure=configure, **kwargs)
+            _add_arguments(command, spec)
+            command.set_defaults(handler=handler)
 
 
-def _add_arguments(spec, handler, parser) -> None:
+def _add_arguments(parser, spec) -> None:
     for name, kwargs in spec:
         parser.add_argument(name, **kwargs)
-    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qgrass", description=__doc__)
-    parser.add_argument("--p", type=int, required=True, help="number of matrix rows")
-    parser.add_argument("--m", type=int, required=True, help="column surplus")
-    parser.add_argument("--n", type=int, default=None, help="entry degree (default: ceil(q/p))")
-    parser.add_argument("--q", type=int, default=None, help="shift bound (default: n*p)")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--compact", action="store_true", help="compact digit form for variables")
+    # help prints the module docstring less its last paragraph, on the
+    # readers (and none under `python -OO`, which drops docstrings)
+    description = __doc__ and __doc__.rpartition("\n\n")[0]
+    parser = _Parser(prog="qgrass", description=description)
+    _add_arguments(parser, _ROOT)
     _add_commands(parser, _COMMANDS, "command")
     return parser
+
+
+def _plain_value(kwargs, word):
+    """word as the value of an argument with add_argument keywords kwargs,
+    or None unless it is written plainly: an exact choice, an int of ASCII
+    digits with an optional minus, or a str that does not start with '-'."""
+    if "choices" in kwargs:
+        return word if word in kwargs["choices"] else None
+    if kwargs.get("type") is int:
+        digits = word[1:] if word.startswith("-") else word
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            return int(word)
+        except ValueError:  # more digits than int() converts
+            return None
+    return None if word.startswith("-") else word
+
+
+def _plain_words(spec, words, values):
+    """Read the arguments of spec off the front of words into values: exact
+    option names, each value its own word, and positionals in order.  The
+    words from the first one after the positionals, or None when a word is
+    not plain or a required option or positional is missing."""
+    defaults, options, positionals = {}, {}, []
+    for name, kwargs in spec:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            options[name] = dest, kwargs
+            flag = kwargs.get("action") == "store_true"
+            defaults[dest] = kwargs.get("default", False if flag else None)
+        else:
+            positionals.append((name, kwargs))
+    required = {dest for dest, kwargs in options.values() if kwargs.get("required")}
+    required.update(name for name, _ in positionals)
+    read, i = {}, 0
+    while i < len(words):
+        option = options.get(words[i])
+        if option is not None:
+            dest, kwargs = option
+            if kwargs.get("action") == "store_true":
+                value, i = True, i + 1
+            else:
+                count = kwargs.get("nargs", 1)
+                value = [_plain_value(kwargs, word) for word in words[i + 1 : i + 1 + count]]
+                if len(value) < count or None in value:
+                    return None
+                value, i = (value if "nargs" in kwargs else value[0]), i + 1 + count
+        elif words[i].startswith("-"):
+            return None
+        elif positionals:
+            dest, kwargs = positionals.pop(0)
+            value, i = _plain_value(kwargs, words[i]), i + 1
+            if value is None:
+                return None
+        else:
+            break
+        read[dest] = value
+    if not required <= read.keys():
+        return None
+    values.update(defaults)
+    values.update(read)
+    return words[i:]
+
+
+def _plain_args(argv) -> Optional[argparse.Namespace]:
+    """The namespace that build_parser().parse_args(argv) returns, read
+    straight from _ROOT and the command tables, or None unless argv is
+    plain: root options, then a command (and a poset subcommand), then its
+    arguments, each as _plain_words reads them.  Help, `--opt=value`,
+    abbreviations, `--` and every usage error are left to argparse."""
+    values, words = {}, list(argv)
+    spec, table, dest = _ROOT, _COMMANDS, "command"
+    while table is not None:
+        words = _plain_words(spec, words, values)
+        if not words or words[0] not in table:
+            return None
+        name, words = words[0], words[1:]
+        values[dest] = name
+        _, spec, handler = table[name]
+        if isinstance(spec, dict):
+            spec, table, dest = (), spec, f"{name}_command"
+        else:
+            table = None
+    if _plain_words(spec, words, values) != []:
+        return None
+    return argparse.Namespace(handler=handler, **values)
 
 
 def run(argv: Optional[list[str]] = None, out=None) -> int:
     """One command, with Python's cyclic collector paused for the run.
 
-    A run builds no reference cycles of its own: its only cyclic garbage
-    is argparse's parser graph, about 140 objects.  But every container
-    that it keeps alive (tables, images, traces) counts towards the
-    collector's thresholds, so left on it walks them again and again.
-    The caller's collector state is restored on every exit, SystemExit
+    A plain command line (see `_plain_args`) is read straight from the
+    command tables and builds no argparse parser; any other, help and
+    usage errors included, goes to `build_parser`, which builds all 16
+    parsers from the same tables.  A run makes no reference cycles of its
+    own, so a plain run leaves no cyclic garbage at all; the other path
+    leaves argparse's parser graph, about 500 objects.  But every container
+    that a run keeps alive (tables, images, traces) counts towards the
+    collector's thresholds, so left on it walks them again and again.  The
+    caller's collector state is restored on every exit, SystemExit
     included.
     """
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         ctx = resolve_context(args)
         return args.handler(args, ctx, out) or 0
     except (SagbiFailureError, InternalInconsistencyError) as exc:

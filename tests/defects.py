@@ -368,6 +368,35 @@ DEFECTS = (
         ),
     ),
     Defect(
+        "the plain reader matches an option by prefix",
+        "cli.py",
+        "        option = options.get(words[i])\n",
+        "        option = next((o for name, o in options.items() if name.startswith(words[i])), None)\n",
+        (
+            "tests/test_cli.py::test_the_plain_reader_leaves_every_other_form_to_argparse[--p 3 --m 3 --form json degree]",
+        ),
+    ),
+    Defect(
+        "the plain reader keeps a repeated option's first value",
+        "cli.py",
+        "        read[dest] = value\n",
+        "        read.setdefault(dest, value)\n",
+        (
+            "tests/test_cli.py::test_the_plain_reader_reads_as_argparse_does[--p 2 --p 3 --m 3 --compact --compact degree]",
+            "tests/test_cli.py::test_the_plain_reader_reads_as_argparse_does[--p 3 --m 3 --n 1 --q 3 groebner --interval 123^0 456^3 --interval 146^1 235^2]",
+        ),
+    ),
+    Defect(
+        "the plain reader's store_true option takes the next word",
+        "cli.py",
+        "value, i = True, i + 1",
+        "value, i = True, i + 2",
+        (
+            "tests/test_cli.py::test_pinned_stdout[--p 3 --m 3 --n 1 --q 3 --compact groebner --interval 124^0 356^2]",
+            "tests/test_cli.py::test_the_plain_reader_reads_as_argparse_does[--p 3 --m 3 --n 1 --q 3 --compact groebner --interval 146^1 235^2]",
+        ),
+    ),
+    Defect(
         "elements drops an interval's top shift",
         "lattice.py",
         "shifts = range(bot.shift, top.shift + 1)",

@@ -7,7 +7,9 @@ needs only the standard library and qgrass:
 
     PYTHONPATH=src python tests/pins.py
 
-It exits 1, naming each invocation whose exit code or stdout differs.
+It exits 1, naming each invocation whose exit code or stdout differs, or
+whose command line `cli`'s plain reader does not read to the namespace
+that argparse reads on the running interpreter.
 """
 
 import contextlib
@@ -90,12 +92,20 @@ PINS = [
 
 
 def check(pin):
-    """None if the pinned invocation exits and prints as pinned, else why not."""
+    """None if the pinned invocation is read by the plain reader as argparse
+    reads it, and exits and prints as pinned; else why not."""
     argv, code, expected = pin
+    words = shlex.split(argv)
+    plain = cli._plain_args(words)
+    if plain is None:
+        return "the plain reader leaves it to argparse"
+    parsed = vars(cli.build_parser().parse_args(words))
+    if vars(plain) != parsed:
+        return f"the plain reader reads {vars(plain)}, argparse {parsed}"
     out = io.StringIO()
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            got_code = cli.run(shlex.split(argv), out=out)
+            got_code = cli.run(words, out=out)
     except SystemExit as exc:
         got_code = exc.code
     if got_code != code:

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import contextlib
 import gc
 import hashlib
 import io
@@ -422,9 +423,9 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
 
 
 def eager_parser():
-    """The parser as built before subcommands were deferred: every one of
-    the 16 parsers at once.  The reference for the deferred `build_parser`."""
-    parser = cli._Parser(prog="qgrass", description=cli.__doc__)
+    """The 16 parsers written out by hand: the reference for `build_parser`,
+    which builds them from the command tables."""
+    parser = cli._Parser(prog="qgrass", description=cli.__doc__.rpartition("\n\n")[0])
     parser.add_argument("--p", type=int, required=True, help="number of matrix rows")
     parser.add_argument("--m", type=int, required=True, help="column surplus")
     parser.add_argument("--n", type=int, default=None, help="entry degree (default: ceil(q/p))")
@@ -578,7 +579,7 @@ def test_deferred_parser_usage_errors_match_eager(monkeypatch, capsys, argv):
     assert _parse(cli.build_parser, argv, capsys) == eager
 
 
-def test_a_run_builds_only_the_invoked_commands_parser(monkeypatch, capsys):
+def test_a_run_builds_only_the_invoked_commands_parser(collector, monkeypatch):
     src = str(pathlib.Path(cli.__file__).parents[1])
     code = (
         f"import argparse, sys; sys.path.insert(0, {src!r}); calls = []; "
@@ -597,16 +598,130 @@ def test_a_run_builds_only_the_invoked_commands_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run_cli("--p", "2", "--m", "2", "--n", "1", "groebner")[0] == 0
-    assert calls == ["qgrass", "qgrass groebner"]
-    calls.clear()
-    assert run_cli("--p", "2", "--m", "2", "--n", "1", "poset", "list")[0] == 0
-    assert calls == ["qgrass", "qgrass poset", "qgrass poset list"]
-    calls.clear()
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["--help"])
-    assert exc.value.code == 0 and "sagbi-check" in capsys.readouterr().out
-    assert calls == ["qgrass"]
+    gc.disable()
+    gc.collect()
+    # a plain command line builds no parser and leaves no cyclic garbage
+    plain = run_cli("--p", "2", "--m", "2", "--n", "1", "--format", "text", "poset", "list")
+    assert (plain[0], calls, gc.collect()) == (0, [], 0)
+    # written with `--opt=value` it goes to argparse, which builds every
+    # parser of the tables, and runs the same command
+    assert run_cli("--p", "2", "--m", "2", "--n", "1", "--format=text", "poset", "list") == plain
+    assert len(calls) == 1 + len(cli._COMMANDS) + len(cli._POSET_COMMANDS)
+
+
+def _run_output(argv, capsys):
+    """(exit code, stdout, stderr) of cli.run(argv), SystemExit included."""
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (["--help"], "b3968b88e5362ecefe279ab9a8ff3bee4bb65fd4dcbc37f5fa852aecd76cfa9a"),
+        (["groebner", "--help"], "8e7db020b103c3dfd0ed24b5145575a185b2a48e4ea463756ec471de993e6db8"),
+        (["poset", "list", "--help"],
+         "ab3eb6a858c392d12603779d6255213f9e33c7b3b0d5961ec2975d6efd1f9445"),
+        (["--p", "2", "degree"], "91933262278e7e67322c2e86e46c0e1dd590277b6f013582ff6e3d9e6867974c"),
+        (CTX + ["nope"], "102cdacda6002de0133b620f5b11e66edd8f280fa53d09ca47327d69b3975e7a"),
+    ],
+    ids=["root help", "groebner help", "poset list help", "missing-m", "unknown-command"],
+)
+def test_help_and_usage_errors_ignore_the_terminal_width(monkeypatch, capsys, argv, sha256):
+    # sha256 is that of the help on stdout, or of the usage error on
+    # stderr, as argparse wrapped them under COLUMNS=80
+    outputs = []
+    for columns in ("40", "80", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        outputs.append(_run_output(argv, capsys))
+    assert outputs == [outputs[0]] * 4
+    code, out, err = outputs[0]
+    assert (err if code == 0 else out) == ""
+    assert hashlib.sha256((out + err).encode()).hexdigest() == sha256
+
+
+def _argv_id(argv):
+    """argv as a test id: its words, an empty or spaced one in quotes and a
+    long one cut short."""
+    def word(w):
+        return repr(w) if not w or " " in w else w if len(w) < 20 else f"{w[:4]}...({len(w)} chars)"
+
+    return " ".join(map(word, argv))
+
+
+def _argparse_vars(argv):
+    """vars() of build_parser().parse_args(argv), or the exit code of the
+    SystemExit that argparse raises instead."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the three benchmark workloads' command lines
+        CTX + ["sagbi-check"],
+        CTX + ["obvious", "--rank"],
+        CTX + ["--compact", "groebner", "--interval", "146^1", "235^2"],
+        # a repeated option keeps its last value, a repeated flag stays set
+        ["--p", "2", "--p", "3", "--m", "3", "--compact", "--compact", "degree"],
+        CTX + ["groebner", "--interval", "123^0", "456^3", "--interval", "146^1", "235^2"],
+        # options between positionals, in any order
+        CTX + ["straighten", "156^1", "--interval", "146^1", "235^2", "234^2"],
+        CTX + ["schubert", "--skew", "146^1", "235^2"],
+        # ints with a minus or leading zeros, and an empty str
+        ["--p", "-1", "--m", "007", "degree"],
+        CTX + ["schubert", "34^2", "--skew", ""],
+        CTX + ["--format", "json", "syzygy", "v", "156^1", "234^2"],
+        CTX + ["poset", "rank", "235^2"],
+    ],
+    ids=_argv_id,
+)
+def test_the_plain_reader_reads_as_argparse_does(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CTX + ["groebner", "--help"],
+        CTX + ["-h"],
+        ["--p", "3", "--m", "3", "--form", "json", "degree"],  # an abbreviation
+        ["--p=3", "--m", "3", "degree"],
+        CTX + ["--", "degree"],
+        CTX + ["groebner", "--compact"],  # a root option after the command
+        # words that are not ASCII digits: int() reads some, refuses others
+        *(["--p", text, "--m", "3", "degree"] for text in ("+3", " 3", "3_0", "\u0663", "")),
+        ["--p", "9" * 5000, "--m", "3", "degree"],  # beyond int()'s digit limit
+        CTX + ["--format", "xml", "degree"],
+        CTX + ["syzygy", "z", "156^1", "234^2"],
+        CTX + ["schubert", "235^2", "--skew", "-146^1"],
+        CTX + ["phi", "-456^2"],
+        CTX + ["groebner", "--interval", "146^1"],
+        ["--p", "2", "degree"],
+        CTX + ["phi"],
+        CTX,
+        CTX + ["nope"],
+        CTX + ["poset"],
+        CTX + ["poset", "-h"],
+        CTX + ["groebner", "extra"],
+    ],
+    ids=_argv_id,
+)
+def test_the_plain_reader_leaves_every_other_form_to_argparse(argv):
+    assert cli._plain_args(argv) is None
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Randomized property suites; runnable standalone via
 `pytest tests/test_properties.py`.  Each suite drives at least 1000 cases."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from qgrass import cli
 from qgrass.lattice import (
     Context,
     elements,
@@ -163,3 +166,82 @@ def test_c_serialization_round_trip(f):
     assert parse_text(emit_text(f, "C", CTX, compact=True), "C", p=3) == f
     back, kind = parse_json(emit_json(f, "C", CTX))
     assert kind == "C" and back == f
+
+
+# -- command-line readers -------------------------------------------------------
+
+# words of every kind: exact option names, abbreviations, `--opt=value`,
+# help, `--`, command names, ints (some in forms that int() reads but the
+# plain reader leaves to argparse), variables, choices and the empty word
+WORDS = (
+    [name for name, _ in cli._ROOT]
+    + ["--interval", "--skew", "--jobs", "--rank"]
+    + ["--form", "--comp", "--int", "--sk", "--jo", "--ra", "--c"]
+    + ["--p=3", "--format=json", "-h", "--help", "--"]
+    + list(cli._COMMANDS) + list(cli._POSET_COMMANDS)
+    + ["3", "1", "2", "-1", "+3", "3_0", "\u0663"]
+    + ["146^1", "235^2", "156^1", "234^2", "123^0"]
+    + ["text", "json", "w", "v", ""]
+)
+word = st.sampled_from(WORDS)
+
+
+def _leaves(table, words=()):
+    """(command words, argument spec) of each leaf command of table."""
+    for name, (_, spec, _) in table.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, words + (name,))
+        else:
+            yield list(words + (name,)), spec
+
+
+def _written(name, kwargs):
+    """One argument written out: its option name, if any, then its values,
+    mostly plain."""
+    if kwargs.get("action") == "store_true":
+        return st.just([name])
+    if "choices" in kwargs:
+        value = st.sampled_from(kwargs["choices"] * 5 + ["x"])
+    elif kwargs.get("type") is int:
+        value = st.sampled_from(["3", "1", "-1", "07"] * 3 + ["+3", "3_0"])
+    else:
+        value = st.sampled_from(["146^1", "235^2", "156^1", "234^2", ""] * 2 + ["-1"])
+    count = kwargs.get("nargs", 1)
+    values = st.lists(value, min_size=count, max_size=count)
+    return values.map(lambda vs: [name, *vs] if name.startswith("-") else vs)
+
+
+@st.composite
+def _arguments(draw, spec):
+    """spec's arguments written out, each mostly once (but an option
+    sometimes twice, and any argument sometimes not at all), in any order."""
+    phrases = []
+    for name, kwargs in spec:
+        for _ in range(draw(st.sampled_from([0] + [1] * 8 + [2] * (name[0] == "-")))):
+            phrases.append(draw(_written(name, kwargs)))
+    return [w for phrase in draw(st.permutations(phrases)) for w in phrase]
+
+
+@st.composite
+def command_line(draw):
+    words, spec = draw(st.sampled_from(list(_leaves(cli._COMMANDS))))
+    return draw(_arguments(cli._ROOT)) + words + draw(_arguments(spec))
+
+
+# random words, command lines written out from the tables, and those with
+# one random word put in
+argv = st.one_of(
+    st.lists(word, max_size=12),
+    command_line(),
+    st.builds(lambda ws, i, w: ws[:i] + [w] + ws[i:], command_line(), st.integers(0, 20), word),
+)
+
+
+@MANY
+@given(argv)
+def test_the_plain_reader_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli.build_parser().parse_args(argv)  # a SystemExit fails the test
+        assert vars(plain) == vars(parsed)
