@@ -9,20 +9,21 @@ initial form).
 
 A command line has two readers, and both read the one table of root
 options and commands.  A plain one (exact option names, each value its
-own word) is read straight from the table, and builds no argparse parser;
-any other, help and usage errors included, goes to argparse, which builds
-every parser from the table and reads it as it always has.  Help and
-usage are wrapped at 78 columns whatever the terminal's width.
+own word) is read straight from the table, and neither imports argparse
+nor builds a parser; any other, help and usage errors included, goes to
+argparse, which is imported then, builds every parser from the table and
+reads it as it always has.  Help and usage are wrapped at 78 columns
+whatever the terminal's width.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import lattice, maps, polyring, straighten, syzygy
@@ -32,18 +33,26 @@ from .lattice import Context, PluckerVar
 USAGE_ERROR = 1
 MATH_ERROR = 2
 
-# help and usage wrapped at 78 columns, as argparse wraps them under
-# COLUMNS=80, whatever the terminal
-_HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
+@functools.lru_cache(maxsize=None)
+def _parser_class():
+    """The ArgumentParser subclass of every parser that build_parser makes,
+    defined on first use, so that only the argparse path imports argparse."""
+    import argparse
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_HELP_FORMATTER, **kwargs)
+    # help and usage wrapped at 78 columns, as argparse wraps them under
+    # COLUMNS=80, whatever the terminal
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(formatter_class=formatter, **kwargs)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+    return _Parser
 
 
 def resolve_context(args) -> Context:
@@ -253,11 +262,13 @@ def _add_arguments(parser, spec) -> None:
         parser.add_argument(name, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The root argparse parser, with every subcommand's, built from the
+    command tables; the first call imports argparse."""
     # help prints the module docstring less its last paragraph, on the
     # readers (and none under `python -OO`, which drops docstrings)
     description = __doc__ and __doc__.rpartition("\n\n")[0]
-    parser = _Parser(prog="qgrass", description=description)
+    parser = _parser_class()(prog="qgrass", description=description)
     _add_arguments(parser, _ROOT)
     _add_commands(parser, _COMMANDS, "command")
     return parser
@@ -326,12 +337,13 @@ def _plain_words(spec, words, values):
     return words[i:]
 
 
-def _plain_args(argv) -> Optional[argparse.Namespace]:
-    """The namespace that build_parser().parse_args(argv) returns, read
-    straight from _ROOT and the command tables, or None unless argv is
-    plain: root options, then a command (and a poset subcommand), then its
-    arguments, each as _plain_words reads them.  Help, `--opt=value`,
-    abbreviations, `--` and every usage error are left to argparse."""
+def _plain_args(argv) -> Optional[SimpleNamespace]:
+    """A namespace with the vars() of build_parser().parse_args(argv), read
+    straight from _ROOT and the command tables without importing argparse,
+    or None unless argv is plain: root options, then a command (and a
+    poset subcommand), then its arguments, each as _plain_words reads
+    them.  Help, `--opt=value`, abbreviations, `--` and every usage error
+    are left to argparse."""
     values, words = {}, list(argv)
     spec, table, dest = _ROOT, _COMMANDS, "command"
     while table is not None:
@@ -347,22 +359,22 @@ def _plain_args(argv) -> Optional[argparse.Namespace]:
             table = None
     if _plain_words(spec, words, values) != []:
         return None
-    return argparse.Namespace(handler=handler, **values)
+    return SimpleNamespace(handler=handler, **values)
 
 
 def run(argv: Optional[list[str]] = None, out=None) -> int:
     """One command, with Python's cyclic collector paused for the run.
 
     A plain command line (see `_plain_args`) is read straight from the
-    command tables and builds no argparse parser; any other, help and
-    usage errors included, goes to `build_parser`, which builds all 16
-    parsers from the same tables.  A run makes no reference cycles of its
-    own, so a plain run leaves no cyclic garbage at all; the other path
-    leaves argparse's parser graph, about 500 objects.  But every container
-    that a run keeps alive (tables, images, traces) counts towards the
-    collector's thresholds, so left on it walks them again and again.  The
-    caller's collector state is restored on every exit, SystemExit
-    included.
+    command tables, without importing argparse or building a parser; any
+    other, help and usage errors included, goes to `build_parser`, which
+    imports argparse and builds all 16 parsers from the same tables.  A
+    run makes no reference cycles of its own, so a plain run leaves no
+    cyclic garbage at all; the other path leaves argparse's parser graph,
+    about 500 objects.  But every container that a run keeps alive
+    (tables, images, traces) counts towards the collector's thresholds,
+    so left on it walks them again and again.  The caller's collector
+    state is restored on every exit, SystemExit included.
     """
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv

@@ -6,7 +6,8 @@ One incremental eliminator, an echelon form reduced lead first, serves
 the rank count, nullspace extraction and solving for a vector inside a
 span.  Integer entries stay int: a row is made monic by multiplying with
 its lead when that lead is 1 or -1, and a Fraction appears only for any
-other lead.
+other lead, which is also the first point where the fractions module is
+imported.
 
 A row is reduced lead first: while its largest column is the pivot of a
 stored row, that row's multiple is subtracted.  Stored rows are never
@@ -22,7 +23,6 @@ does not depend on which echelon form is stored (Cox, Little and O'Shea,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InternalInconsistencyError
@@ -65,7 +65,12 @@ class Eliminator:
             if pivot is None:
                 lead = row[c]
                 # 1/lead: the unit lead itself keeps integer rows integer
-                inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)
+                if lead in (1, -1):
+                    inv = int(lead)
+                else:
+                    from fractions import Fraction
+
+                    inv = 1 / Fraction(lead)
                 # row is a fresh dict, so a residual led by 1 is stored as is
                 monic = row if lead == 1 else {k: v * inv for k, v in row.items()}
                 # tag tracks: monic = (incoming - sum combo_j . row_j) / lead

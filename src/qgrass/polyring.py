@@ -3,7 +3,9 @@
 Variables are either matrix-entry coordinates x[i,j,l] (XVar) or lattice
 elements (PluckerVar); monomials are sorted exponent tuples and polynomials
 map monomials to exact coefficients (int, promoted to Fraction only when a
-computation forces it).  Degree-reverse-lexicographic term orders, weight
+computation forces it; the fractions module is imported the first time a
+coefficient that is not an int is normalized or printed, so integer work
+never loads it).  Degree-reverse-lexicographic term orders, weight
 initial forms, the packer of the matrix variables, the one Leibniz walk of
 a square block (over a cached table of signed permutations) with det on
 it, and the canonical text and JSON emitters all live here.  No command
@@ -17,14 +19,15 @@ import functools
 import itertools
 import json
 import operator
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import lattice
 from .errors import InternalInconsistencyError, InvalidInputError
 from .lattice import Context, PluckerVar
 
-Coeff = Union[int, Fraction]
+# Fraction as a forward reference: fractions is imported only where a
+# coefficient is not an int
+Coeff = Union[int, "Fraction"]
 
 
 class XVar(NamedTuple):
@@ -36,6 +39,10 @@ class XVar(NamedTuple):
 
 
 def norm_coeff(c: Coeff) -> Coeff:
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -365,6 +372,10 @@ def format_variable(v, kind: str, compact: bool = False) -> str:
 
 
 def _format_coeff(c: Coeff) -> str:
+    if type(c) is int:
+        return str(c)
+    from fractions import Fraction
+
     if isinstance(c, Fraction):
         return "%d/%d" % (c.numerator, c.denominator)
     return str(c)

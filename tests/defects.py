@@ -254,8 +254,8 @@ DEFECTS = (
     Defect(
         "Eliminator.add stores a residual with a non-unit lead without making it monic",
         "linalg.py",
-        "inv = int(lead) if lead in (1, -1) else 1 / Fraction(lead)",
-        "inv = int(lead) if lead in (1, -1) else 1",
+        "inv = 1 / Fraction(lead)",
+        "inv = 1",
         (
             # a later reduction against such a row never clears its lead
             # and loops, so the one killer is a test that fails first
@@ -394,6 +394,38 @@ DEFECTS = (
         (
             "tests/test_cli.py::test_pinned_stdout[--p 3 --m 3 --n 1 --q 3 --compact groebner --interval 124^0 356^2]",
             "tests/test_cli.py::test_the_plain_reader_reads_as_argparse_does[--p 3 --m 3 --n 1 --q 3 --compact groebner --interval 146^1 235^2]",
+        ),
+    ),
+    Defect(
+        "the plain reader's namespace drops a default",
+        "cli.py",
+        "    values.update(defaults)\n",
+        "    values.update(list(defaults.items())[1:])\n",
+        (
+            "tests/test_cli.py::test_the_plain_reader_reads_as_argparse_does[--p 2 --p 3 --m 3 --compact --compact degree]",
+            "tests/test_cli.py::test_the_plain_reader_reads_as_argparse_does[--p 3 --m 3 --n 1 --q 3 sagbi-check]",
+            "tests/test_cli.py::test_pinned_stdout[--p 3 --m 3 --n 1 --q 3 groebner]",
+        ),
+    ),
+    Defect(
+        "norm_coeff leaves a denominator-1 Fraction unnormalized",
+        "polyring.py",
+        "        return int(c)\n",
+        "        return c\n",
+        (
+            "tests/test_polyring.py::test_scalar_and_fraction_normalization",
+            "tests/test_polyring.py::test_norm_coeff_turns_only_a_whole_fraction_into_an_int",
+        ),
+    ),
+    Defect(
+        "_format_coeff prints a Fraction through the int branch",
+        "polyring.py",
+        "    if type(c) is int:\n        return str(c)\n",
+        '    if hasattr(c, "denominator"):\n        return str(c)\n',
+        (
+            # str() and n/d print every Fraction alike but one with
+            # denominator 1, which no Polynomial holds
+            "tests/test_polyring.py::test_format_coeff_prints_every_fraction_as_n_over_d",
         ),
     ),
     Defect(

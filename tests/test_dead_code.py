@@ -13,8 +13,9 @@ no other line of src/ is used by the tests alone, and so is one whose
 every use on another line of src/ lies inside the body of a definition
 used by the tests alone; that set is pinned exactly, so a new member
 fails and so does a pinned name that is gone or has a user in src/ again.
-Dunder names are exempt, since the language uses them, and so is
-cli._Parser.error, which argparse calls.
+Dunder names are exempt, since the language uses them.  (cli's argparse
+subclass, whose error method only argparse calls, is defined inside a
+function, so it is none of these definitions.)
 
 Every name that an import binds in a test module is read by some
 expression of that module, so imports do not outlive the references
@@ -51,10 +52,6 @@ def definitions(path):
                 if isinstance(child, DEFINITIONS):
                     qualname = f"{node.name}.{child.name}"
                     yield child.name, qualname, child.lineno, child.end_lineno, True
-
-
-# called by the argparse machinery, not by name
-EXEMPT = {"_Parser.error"}
 
 
 # the definitions that only the tests use (ROADMAP item 18), each group
@@ -146,7 +143,6 @@ def named_once(paths):
         for path in SOURCES
         for name, qualname, lineno, _, method in definitions(path)
         if not (name.startswith("__") and name.endswith("__"))
-        and qualname not in EXEMPT
         and (not attribute_of[name] if method else lines_with[name] < 2)
     }
 
@@ -173,7 +169,6 @@ def used_by_tests_alone():
             for path, name, qualname, first, _, method in spans
             if name not in found
             and not (name.startswith("__") and name.endswith("__"))
-            and qualname not in EXEMPT
             and all(
                 (other, line) in inside
                 for other in SOURCES

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qgrass.lattice import Context, PluckerVar, YoungSeq, parse_var
-from qgrass import lattice, maps
+from qgrass import lattice, maps, polyring
 from qgrass.errors import DomainError, InvalidInputError
 from qgrass.maps import generator_image
 from qgrass.polyring import (
@@ -24,6 +24,7 @@ from qgrass.polyring import (
     mono_deg,
     mono_from_pairs,
     mono_mul,
+    norm_coeff,
     order_for,
     pair_mono,
 )
@@ -110,6 +111,26 @@ def test_scalar_and_fraction_normalization():
     assert isinstance(list(f.terms.values())[0], int)
     g = x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2))
     assert g == x
+
+
+def test_norm_coeff_turns_only_a_whole_fraction_into_an_int():
+    for c in (0, -3, 7, 10**30):
+        assert norm_coeff(c) is c
+    whole = norm_coeff(Fraction(-4, 2))
+    assert (whole, type(whole)) == (-2, int)
+    half = Fraction(1, 2)
+    assert norm_coeff(half) is half
+    # any other value, a bool included, comes back as it is
+    assert norm_coeff(True) is True
+    assert norm_coeff(2.0) == 2.0 and type(norm_coeff(2.0)) is float
+
+
+def test_format_coeff_prints_every_fraction_as_n_over_d():
+    # a Fraction with denominator 1 never reaches the emitters from a
+    # Polynomial, which normalizes it, but still prints as n/1
+    fractions = [Fraction(1, 2), Fraction(-6, 4), Fraction(3, 1)]
+    assert [polyring._format_coeff(c) for c in fractions] == ["1/2", "-3/2", "3/1"]
+    assert [polyring._format_coeff(c) for c in (7, -3, 0, True)] == ["7", "-3", "0", "True"]
 
 
 F = Polynomial({mono(XVar(1, 1, 0)): 1, mono(XVar(2, 2, 0)): -2})
