@@ -122,19 +122,11 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = norm_coeff(out.get(m, 0) + c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        res = Polynomial()
-        res.terms = out
-        return res
+            out[m] = out.get(m, 0) + c
+        return Polynomial(out)
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -147,20 +139,13 @@ class Polynomial:
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 out[m] = out.get(m, 0) + ca * cb
-        res = Polynomial()
-        res.terms = {m: norm_coeff(c) for m, c in out.items() if c}
-        return res
+        return Polynomial(out)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.scale(other)
 
     def scale(self, c: Coeff) -> "Polynomial":
-        c = norm_coeff(c)
-        if not c:
-            return Polynomial()
-        res = Polynomial()
-        res.terms = {m: norm_coeff(c * v) for m, v in self.terms.items()}
-        return res
+        return Polynomial({m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:

@@ -392,33 +392,27 @@ def _quadric(gamma: PluckerVar, delta: PluckerVar, trace: SubductionTrace) -> Qu
     return Quadric(poly, (gamma, delta))
 
 
-def _subduct_run(args) -> list[SubductionTrace]:
-    ctx, interval, pairs = args
-    return [subduct(pair, ctx, interval) for pair in pairs]
-
-
 def _subduct_incomparable(
     ctx: Context, interval: Optional[Interval], jobs: int = 1
 ) -> list[tuple[tuple[PluckerVar, PluckerVar], SubductionTrace]]:
     """Subduct every incomparable pair once: (pair, trace) in canonical order.
 
     With more than one worker (at most jobs, the CPU count and the number
-    of pairs), each worker process subducts one contiguous run of the
-    canonical pair order, and the runs are concatenated in order.
+    of pairs), Executor.map cuts the canonical pair order into at most that
+    many contiguous chunks and returns the traces in that order.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     pairs = subduction_table(ctx, interval).incomparable
     workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    run = functools.partial(subduct, ctx=ctx, interval=interval)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: keeps start-up light
 
-        cuts = [len(pairs) * k // workers for k in range(workers + 1)]
-        runs = [(ctx, interval, pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = [t for run in pool.map(_subduct_run, runs) for t in run]
+            traces = list(pool.map(run, pairs, chunksize=-(-len(pairs) // workers)))
     else:
-        traces = _subduct_run((ctx, interval, pairs))
+        traces = list(map(run, pairs))
     return list(zip(pairs, traces))
 
 

@@ -418,6 +418,27 @@ DEFECTS = (
         ),
     ),
     Defect(
+        "Polynomial keeps a zero coefficient",
+        "polyring.py",
+        "                if c:\n                    self.terms[m] = c\n",
+        "                self.terms[m] = c\n",
+        (
+            "tests/test_polyring.py::test_ring_ops",
+            "tests/test_polyring.py::test_library_paths[scale-by-zero]",
+            "tests/test_polyring.py::test_arithmetic_results_are_in_normal_form",
+        ),
+    ),
+    Defect(
+        "Polynomial skips norm_coeff",
+        "polyring.py",
+        "                c = norm_coeff(c)\n",
+        "",
+        (
+            "tests/test_polyring.py::test_scalar_and_fraction_normalization",
+            "tests/test_polyring.py::test_arithmetic_results_are_in_normal_form",
+        ),
+    ),
+    Defect(
         "_format_coeff prints a Fraction through the int branch",
         "polyring.py",
         "    if type(c) is int:\n        return str(c)\n",

@@ -363,9 +363,11 @@ def test_sagbi_check_rejects_jobs_below_one(jobs):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the worker count, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    items of each chunk that map is asked for, starts nothing."""
 
     sizes = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -376,8 +378,11 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        chunks = [items[a : a + chunksize] for a in range(0, len(items), chunksize)]
+        self.chunks.extend(chunks)
+        return [fn(item) for chunk in chunks for item in chunk]
 
 
 @pytest.mark.parametrize("cpus,expected", [(4, 4), (64, 5), (None, None)])
@@ -386,7 +391,7 @@ def test_sagbi_check_caps_workers(monkeypatch, cpus, expected):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(straighten.os, "cpu_count", lambda: cpus)
-    _SerialPool.sizes = []
+    _SerialPool.sizes, _SerialPool.chunks = [], []
     ctx = Context(2, 2, 1, 2)  # 5 incomparable pairs
     report = straighten.sagbi_check(ctx, jobs=1000)
     assert report == straighten.sagbi_check(ctx, jobs=1)
@@ -417,9 +422,13 @@ def test_sagbi_check_failures_keep_order_across_chunks(raw_images, monkeypatch, 
     assert (len(serial["failures"]), serial["pairs_total"]) == (35, 106)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(straighten.os, "cpu_count", lambda: 8)
-    _SerialPool.sizes = []
+    _SerialPool.sizes, _SerialPool.chunks = [], []
     assert straighten.sagbi_check(ctx, jobs=jobs) == serial
     assert _SerialPool.sizes == [jobs]
+    # at most one chunk per worker, contiguous and in canonical order
+    assert 1 < len(_SerialPool.chunks) <= jobs
+    pairs = straighten.subduction_table(ctx, None).incomparable
+    assert [p for chunk in _SerialPool.chunks for p in chunk] == pairs
 
 
 @pytest.mark.skipif(

@@ -8,6 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test skips; the other tests still run
+    given = settings = st = None
+
 from qgrass.lattice import Context, PluckerVar, YoungSeq, parse_var
 from qgrass import lattice, maps, polyring
 from qgrass.errors import DomainError, InvalidInputError
@@ -111,6 +116,61 @@ def test_scalar_and_fraction_normalization():
     assert isinstance(list(f.terms.values())[0], int)
     g = x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2))
     assert g == x
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_arithmetic_results_are_in_normal_form():
+    # polynomials in x, y as dicts (i, j) -> coefficient for x^i*y^j, with
+    # int, half and whole Fraction coefficients; the reference computes
+    # term by term in Fraction and drops zeros
+    x, y = XVar(1, 1, 0), XVar(1, 2, 0)
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    small = st.integers(-3, 3)
+    coeffs = st.one_of(
+        small, small.map(lambda k: Fraction(k, 2)), small.map(lambda k: Fraction(2 * k, 2))
+    )
+    dicts = st.dictionaries(exponents, coeffs, max_size=5)
+
+    def poly(d):
+        return Polynomial({mono_from_pairs([(x, i), (y, j)]): c for (i, j), c in d.items()})
+
+    def reference(d):
+        return {mono_from_pairs([(x, i), (y, j)]): c for (i, j), c in d.items() if c}
+
+    def plus(a, b):
+        out = {e: Fraction(c) for e, c in a.items()}
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + c
+        return out
+
+    def times(a, b):
+        out = {}
+        for (i, j), ca in a.items():
+            for (k, l), cb in b.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + Fraction(ca) * cb
+        return out
+
+    def negated(a):
+        return {e: -Fraction(c) for e, c in a.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(dicts, dicts, coeffs)
+    def check(a, b, c):
+        pa, pb = poly(a), poly(b)
+        results = [
+            (pa + pb, plus(a, b)),
+            (pa - pb, plus(a, negated(b))),
+            (-pa, negated(a)),
+            (pa * pb, times(a, b)),
+            (pa.scale(c), times(a, {(0, 0): c})),
+            (pa.scale(0), {}),
+        ]
+        for got, want in results:
+            assert all(v != 0 for v in got.terms.values())
+            assert not any(type(v) is Fraction and v.denominator == 1 for v in got.terms.values())
+            assert got.terms == reference(want)
+
+    check()
 
 
 def test_norm_coeff_turns_only_a_whole_fraction_into_an_int():
