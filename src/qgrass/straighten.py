@@ -5,9 +5,11 @@ monomial of a product of generator images is repeatedly cancelled by the
 image of a standard (comparable) pair, and the recorded steps assemble the
 quadratic relation with that incomparable product as leading term.  An
 exact linear-algebra kernel over the quadratic part serves as an
-independent oracle: it builds its rows from the same products of
-maps.signed_image, eliminates only the multidegree groups whose product
-leads collide, and never subducts.
+independent oracle: it eliminates only the multidegree groups whose product
+leads collide, reads each row of maps.signed_image products at the group's
+product-lead columns, counts each relation it finds to zero with the same
+product kernel as subduction (adding a column where one does not), and
+never subducts.
 """
 
 from __future__ import annotations
@@ -469,26 +471,52 @@ def sagbi_check(ctx: Context, jobs: int = 1) -> dict:
     }
 
 
+def _product_row(a: dict, b: dict, cols: list[int]) -> dict:
+    """The nonzero coefficients of a*b at the ascending ints cols, where a
+    and b are images as ascending dicts int -> coefficient.
+
+    The coefficient at w is the sum of a[t]*b[w - t] over the terms t of
+    a, one lookup each (ints add with no carry).  No term of a*b lies
+    below its lead, the sum of the two first keys, so the columns below it
+    are skipped, and no term t of a above w - lead(b) has a partner in b.
+    """
+    row: dict = {}
+    if not (a and b):
+        return row
+    lead_b = next(iter(b))
+    lead = next(iter(a)) + lead_b
+    for w in cols[bisect.bisect_left(cols, lead):]:
+        top = w - lead_b
+        c = 0
+        for t, x in a.items():
+            if t > top:
+                break
+            y = b.get(w - t)
+            if y:
+                c += x * y
+        if c:
+            row[w] = c
+    return row
+
+
 def kernel_quadrics_oracle(
     ctx: Context, interval: Optional[Interval] = None
 ) -> list[Polynomial]:
     """Independent basis of the quadratic kernel by exact linear algebra.
 
-    All products of two generator images are expanded and the relations
-    among them solved exactly, grouped by the (column multiset, shift sum)
-    multidegree under which the kernel splits (the diagonal blocks of a
-    Macaulay matrix).  The images are maps.signed_image under the
-    interval_mask, and each product is counted by _count_product, as in
-    subduction, and read off by _net as a dict x_packer int -> coefficient;
-    all products in a group have degree 2p, where int order is the reverse
-    of degrevlex, so -w is the column key of int w.  No subduction table is
-    built (so psi is never called) and subduct is never called, so the
-    oracle stays independent of subduction.  One nullspace per group is its
-    only elimination and already the reduced row-echelon basis: a group's
-    pairs come in canonical i <= j order, which ascends in c_order (on
-    degree-2 words degrevlex is lexicographic on linear keys), each vector
-    has 1 at its own pair, its largest, which no other vector holds, and
-    groups have disjoint supports.
+    The relations among all products of two generator images are solved
+    exactly, grouped by the (column multiset, shift sum) multidegree under
+    which the kernel splits (the diagonal blocks of a Macaulay matrix).
+    The images are maps.signed_image under the interval_mask, on x_packer
+    ints; all products in a group have degree 2p, where int order is the
+    reverse of degrevlex, so -w is the column key of int w.  No subduction
+    table is built (so psi is never called) and subduct is never called,
+    so the oracle stays independent of subduction.  A group's nullspace
+    is already the reduced row-echelon basis: its pairs come in canonical
+    i <= j order, which ascends in c_order (on degree-2 words degrevlex is
+    lexicographic on linear keys), each vector has 1 at its own pair, its
+    largest, which no other vector holds, and groups have disjoint
+    supports.
 
     Only groups whose product leads collide are eliminated.  An image's
     lead is its smallest int (_lead), and products add ints with no
@@ -502,6 +530,28 @@ def kernel_quadrics_oracle(
     image gives a zero row, itself a kernel vector, so a group holding one
     is always eliminated.
 
+    A group is eliminated on its product-lead columns only: each row holds
+    the coefficients of its product at those ints, read by _product_row.
+    Each basis vector c is then certified by counting sum c_i * image(u_i)
+    * image(v_i) with _count_product, the product kernel of subduction:
+    it is a relation exactly when the two counts agree.  If a vector
+    fails, the smallest int where its counts differ joins the columns and
+    the group is solved again.  The result is the full-row basis:
+    - dropping columns can only enlarge a kernel, so the kernel on the
+      columns contains the full kernel;
+    - every returned vector is certified to lie in the full kernel, so
+      once all of a basis certify, the two kernels are equal;
+    - nullspace returns the reduced basis keyed by row index, which is
+      unique for a given subspace, so the vectors are those of the full
+      rows.
+    So the oracle never assumes that the lead columns suffice, which would
+    lean on the sagbi claim that it checks: where they fall short, columns
+    are added until the kernel is exact.  A failing vector vanishes on the
+    columns it was solved on, so its witness is a new column, unless the
+    reader and the counting kernel disagree, which is an internal error
+    (and keeps the loop finite: each pass adds a column from the group's
+    finite support).
+
     The relations are ordered by position: each is keyed by the canonical
     positions (i, j), i <= j, of its lead pair, and the keys descend.  That
     is descending c_order, since linear keys ascend with position and
@@ -509,24 +559,44 @@ def kernel_quadrics_oracle(
     """
     elems = lattice.elements(ctx, interval)
     mask = interval_mask(ctx, interval)
-    image = maps.signed_image
     groups: dict[int, list[tuple[PluckerVar, PluckerVar]]] = {}
     for u, v in itertools.combinations_with_replacement(elems, 2):
         groups.setdefault(_multidegree(u, v, ctx), []).append((u, v))
-    leads = {u: lead[0] for u in elems if (lead := _lead(image(u, ctx, mask)))}
+    images = {u: maps.signed_image(u, ctx, mask) for u in elems}
+    # each image once more as one ascending dict int -> +-1, for the reader
+    terms = {
+        u: dict(sorted([(w, 1) for w in pos] + [(w, -1) for w in neg]))
+        for u, (pos, neg) in images.items()
+    }
+    leads = {u: lead[0] for u in elems if (lead := _lead(images[u]))}
     at = {u: i for i, u in enumerate(elems)}
     relations: dict[tuple[int, int], Polynomial] = {}
     for pairs in groups.values():
         # a pair with a zero image has no lead, so its group is never skipped
-        if len({leads[u] + leads[v] for u, v in pairs if u in leads and v in leads}) == len(pairs):
+        cols = {leads[u] + leads[v] for u, v in pairs if u in leads and v in leads}
+        if len(cols) == len(pairs):
             continue
-        rows = []
-        for u, v in pairs:
-            pos: dict = {}
-            neg: dict = {}
-            _count_product(pos, neg, image(u, ctx, mask), image(v, ctx, mask), 1)
-            rows.append(_net(pos, neg))
-        for combo in linalg.nullspace(rows, operator.neg):
+        while True:
+            ascending = sorted(cols)
+            rows = [_product_row(terms[u], terms[v], ascending) for u, v in pairs]
+            basis = linalg.nullspace(rows, operator.neg)
+            for combo in basis:
+                pos: dict = {}
+                neg: dict = {}
+                for i, c in combo.items():
+                    u, v = pairs[i]
+                    _count_product(pos, neg, images[u], images[v], c)
+                if pos != neg:
+                    witness = min(pos.items() ^ neg.items())[0]
+                    if witness in cols:
+                        raise InternalInconsistencyError(
+                            f"the lead-column rows and the counted products differ at {witness}"
+                        )
+                    cols.add(witness)
+                    break
+            else:
+                break
+        for combo in basis:
             u, v = pairs[max(combo)]
             relations[at[u], at[v]] = Polynomial(
                 {polyring.pair_mono(*pairs[i]): c for i, c in combo.items()}

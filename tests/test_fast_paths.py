@@ -30,14 +30,17 @@ the slow path it replaced, kept here.
 - _count_product, the one product kernel, counts a product of two
   signed_image into positive and negative counts; the reference is the
   Polynomial product of the two generator_image.
-- kernel_quadrics_oracle builds its rows from the same counted image
-  products, eliminates only the groups whose product leads collide and
-  reads the reduced basis off their nullspaces.  It has no second oracle:
-  reduced_basis_leads checks, with no elimination, what pins the reduced
-  basis down (every relation vanishes under apply_hom, each has
-  coefficient 1 at its own lead pair, its largest monomial, which no
-  other relation holds, and the lead pairs descend in canonical
-  position), and the test asks for one relation per incomparable pair.
+- kernel_quadrics_oracle eliminates only the groups whose product leads
+  collide, on rows read at the group's product-lead columns, and counts
+  each relation found to zero, adding a column where one does not; the
+  reference is the full-row elimination it replaced
+  (kernel_oracle_full_rows), whose rows are the whole counted image
+  products.  The oracle also meets a check with no elimination:
+  reduced_basis_leads checks what pins the reduced basis down (every
+  relation vanishes under apply_hom, each has coefficient 1 at its own
+  lead pair, its largest monomial, which no other relation holds, and the
+  lead pairs descend in canonical position), and the test asks for one
+  relation per incomparable pair.
 - reduced_groebner reads its quadrics off one subduction pass over the
   incomparable pairs; the reference calls straightening_relation on each
   pair, which validates and subducts it on its own.
@@ -51,6 +54,7 @@ import collections
 import copy
 import io
 import itertools
+import operator
 import random
 
 import pytest
@@ -75,6 +79,8 @@ from qgrass.polyring import Polynomial, X_ORDER, XVar, c_order, mono_from_pairs,
 from qgrass.straighten import (
     SubductionTrace,
     _count_product,
+    _lead,
+    _multidegree,
     _net,
     factor_initial,
     interval_mask,
@@ -680,35 +686,116 @@ def test_kernel_oracle_is_the_reduced_kernel_basis(params, interval):
     assert reduced_basis_leads(relations, ctx, interval) == incomparable_pairs(ctx, interval)[::-1]
 
 
-def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
-    ctx = CTX3312
+def kernel_oracle_full_rows(ctx, interval=None):
+    """Reference: the kernel oracle on full rows.  Each pair of a group
+    whose product leads collide gets the whole product of its two images,
+    counted by _count_product and read off by _net, and one nullspace per
+    such group gives the relations; no column is left out, so nothing is
+    certified."""
+    elems = elements(ctx, interval)
+    mask = interval_mask(ctx, interval)
+    groups = {}
+    for u, v in itertools.combinations_with_replacement(elems, 2):
+        groups.setdefault(_multidegree(u, v, ctx), []).append((u, v))
+    leads = {u: lead[0] for u in elems if (lead := _lead(signed_image(u, ctx, mask)))}
+    at = {u: i for i, u in enumerate(elems)}
+    relations = {}
+    for pairs in groups.values():
+        if len({leads[u] + leads[v] for u, v in pairs if u in leads and v in leads}) == len(pairs):
+            continue
+        rows = []
+        for u, v in pairs:
+            pos, neg = {}, {}
+            _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
+            rows.append(_net(pos, neg))
+        for combo in linalg.nullspace(rows, operator.neg):
+            u, v = pairs[max(combo)]
+            relations[at[u], at[v]] = Polynomial(
+                {polyring.pair_mono(*pairs[i]): c for i, c in combo.items()}
+            )
+    return [relations[ij] for ij in sorted(relations, reverse=True)]
+
+
+def assert_same_relations(fast, ref):
+    """Term by term: the same monomials in the same order, with equal
+    coefficients of the same type, in the same list order."""
+    def typed(relations):
+        return [[(m, type(c), c) for m, c in f.terms.items()] for f in relations]
+
+    assert typed(fast) == typed(ref)
+
+
+@pytest.mark.parametrize(
+    "params,interval",
+    [
+        ((2, 2, 1, 2), None),
+        ((2, 3, 1, 2), None),
+        ((3, 3, 1, 1), None),
+        ((3, 3, 1, 2), None),
+        ((2, 2, 2, 4), None),
+        ((1, 3, 1, 1), None),
+        ((3, 3, 1, 3), None),
+        ((3, 3, 1, 3), ("146^1", "235^2")),
+        ((3, 3, 1, 3), ("124^0", "356^2")),
+    ],
+)
+def test_kernel_oracle_matches_full_row_elimination(params, interval):
+    ctx = Context(*params)
+    if interval is not None:
+        interval = tuple(parse_var(x) for x in interval)
+    assert_same_relations(kernel_quadrics_oracle(ctx, interval), kernel_oracle_full_rows(ctx, interval))
+
+
+def spy_nullspace(monkeypatch):
+    """The rows of each linalg.nullspace call, one list entry per call."""
     real = linalg.nullspace
-    eliminated = []
+    calls = []
 
     def spy(rows, key):
-        eliminated.append(tuple(frozenset(r.items()) for r in rows))
+        calls.append(rows)
         return real(rows, key)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
-    kernel_quadrics_oracle(ctx)
-    assert (len(eliminated), sum(map(len, eliminated))) == (155, 900)
+    return calls
+
+
+def product_lead_groups(ctx):
+    """The multidegree groups of ctx's pairs (canonical order within each),
+    keyed by the tuple of their product leads, read off packed_image."""
     mask = interval_mask(ctx, None)
     groups = {}
     elems = elements(ctx)
     for i, u in enumerate(elems):
         for v in elems[i:]:
-            g = {}
-            add_product(g, packed_image(u, ctx, mask), packed_image(v, ctx, mask), 1)
             md = (tuple(sorted(u.cols + v.cols)), u.shift + v.shift)
-            groups.setdefault(md, []).append(g)
+            groups.setdefault(md, []).append((u, v))
+    return {
+        tuple(packed_image(u, ctx, mask)[0][0] + packed_image(v, ctx, mask)[0][0] for u, v in pairs):
+        pairs
+        for pairs in groups.values()
+    }
+
+
+def test_kernel_oracle_eliminates_only_groups_whose_leads_collide(monkeypatch):
+    # each group is eliminated once, on its product-lead columns: a row's
+    # smallest column is its own product's lead, which names the group
+    ctx = CTX3312
+    eliminated = spy_nullspace(monkeypatch)
+    kernel_quadrics_oracle(ctx)
+    assert (len(eliminated), sum(map(len, eliminated))) == (155, 900)
+    groups = product_lead_groups(ctx)
     assert len(groups) == 705
-    eliminated = set(eliminated)
-    skipped = [rows for rows in groups.values()
-               if tuple(frozenset(r.items()) for r in rows) not in eliminated]
+    done = set()
+    for rows in eliminated:
+        leads = tuple(min(r) for r in rows)
+        assert leads in groups and leads not in done
+        done.add(leads)
+        for row in rows:
+            assert set(row) <= set(leads)
+    skipped = [leads for leads in groups if leads not in done]
     assert len(skipped) == 550
-    for rows in skipped:
-        assert all(rows)
-        assert len({min(r) for r in rows}) == len(rows)
+    for leads in skipped:
+        assert len(set(leads)) == len(leads)
 
 
 def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_images):
@@ -728,6 +815,47 @@ def test_kernel_oracle_never_skips_a_group_with_a_zero_image(monkeypatch, fresh_
     for u in elements(ctx):
         assert Polynomial.term(polyring.pair_mono(u, zeroed)) in relations
     assert len(relations) > len(incomparable_pairs(ctx))
+    assert_same_relations(relations, kernel_oracle_full_rows(ctx))
+
+
+def test_kernel_oracle_adds_columns_where_the_leads_fall_short(monkeypatch):
+    # with one image's lead hidden, every group holding that element is
+    # solved, on the other pairs' leads only, so some basis vector fails its
+    # count; the smallest int where it fails joins the columns, and the
+    # group is solved again until every vector counts to zero
+    ctx = Context(2, 3, 1, 2)
+    reference = kernel_oracle_full_rows(ctx)
+    u = elements(ctx)[4]
+    hidden = signed_image(u, ctx, interval_mask(ctx, None))
+    real = straighten._lead
+    monkeypatch.setattr(straighten, "_lead", lambda image: None if image is hidden else real(image))
+    calls = spy_nullspace(monkeypatch)
+    relations = kernel_quadrics_oracle(ctx)
+    solved = [
+        leads
+        for leads, pairs in product_lead_groups(ctx).items()
+        if len(set(leads)) < len(leads) or any(u in pair for pair in pairs)
+    ]
+    assert len(calls) > len(solved)
+    assert_same_relations(relations, reference)
+
+
+def test_kernel_oracle_refuses_rows_that_disagree_with_the_counted_products(monkeypatch):
+    # the counting kernel sees one term of one image with its sign flipped,
+    # the lead-column reader does not: the first vector that fails its
+    # count fails at a column it was solved on, which is refused at once
+    ctx = Context(2, 3, 1, 2)
+    image = signed_image(elements(ctx)[4], ctx, interval_mask(ctx, None))
+    pos, neg = image
+    flipped = pos[1:], tuple(sorted(neg + pos[:1]))
+    real = straighten._count_product
+
+    def count(pos, neg, a, b, c):
+        real(pos, neg, flipped if a is image else a, flipped if b is image else b, c)
+
+    monkeypatch.setattr(straighten, "_count_product", count)
+    with pytest.raises(InternalInconsistencyError, match="differ at"):
+        kernel_quadrics_oracle(ctx)
 
 
 def test_count_product_matches_polynomial_product():
