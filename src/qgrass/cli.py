@@ -34,27 +34,6 @@ USAGE_ERROR = 1
 MATH_ERROR = 2
 
 
-@functools.lru_cache(maxsize=None)
-def _parser_class():
-    """The ArgumentParser subclass of every parser that build_parser makes,
-    defined on first use, so that only the argparse path imports argparse."""
-    import argparse
-
-    # help and usage wrapped at 78 columns, as argparse wraps them under
-    # COLUMNS=80, whatever the terminal
-    formatter = functools.partial(argparse.HelpFormatter, width=78)
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, **kwargs):
-            super().__init__(formatter_class=formatter, **kwargs)
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-    return _Parser
-
-
 def resolve_context(args) -> Context:
     p, m, n, q = args.p, args.m, args.n, args.q
     if n is None and q is None:
@@ -264,11 +243,25 @@ def _add_arguments(parser, spec) -> None:
 
 def build_parser():
     """The root argparse parser, with every subcommand's, built from the
-    command tables; the first call imports argparse."""
+    command tables; only this path imports argparse."""
+    import argparse
+
+    # help and usage wrapped at 78 columns, as argparse wraps them under
+    # COLUMNS=80, whatever the terminal
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(formatter_class=formatter, **kwargs)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
     # help prints the module docstring less its last paragraph, on the
     # readers (and none under `python -OO`, which drops docstrings)
     description = __doc__ and __doc__.rpartition("\n\n")[0]
-    parser = _parser_class()(prog="qgrass", description=description)
+    parser = _Parser(prog="qgrass", description=description)
     _add_arguments(parser, _ROOT)
     _add_commands(parser, _COMMANDS, "command")
     return parser

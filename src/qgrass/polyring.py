@@ -175,8 +175,6 @@ class TermOrder:
 
     def compare(self, a: Mono, b: Mono) -> int:
         """-1, 0 or 1 as a < b, a == b, a > b: the order's reference definition."""
-        if a == b:
-            return 0
         da, db = mono_deg(a), mono_deg(b)
         if da != db:
             return -1 if da < db else 1

@@ -213,7 +213,8 @@ def _lead(image: SignedImage) -> Optional[tuple[int, int]]:
 
 def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> None:
     """pos - neg += c * a * b, where pos and neg count the positive and the
-    negative terms of a packed polynomial, which _net reads off them.
+    negative terms of a packed polynomial, its coefficient at w being
+    pos[w] - neg[w] (a count is never stored at zero: counts only grow).
 
     The product's positive terms are the sums of same-sign terms of a and
     b, its negative terms those of opposite signs.  With |c| == 1 each
@@ -237,18 +238,6 @@ def _count_product(pos: dict, neg: dict, a: SignedImage, b: SignedImage, c) -> N
     for counts, pairs in ((pos, same), (neg, mixed)):
         for w in starmap(operator.add, pairs):
             counts[w] = counts.get(w, 0) + c
-
-
-def _net(pos: dict, neg: dict) -> dict:
-    """pos - neg as one dict int -> nonzero coefficient, folded into pos
-    (a count is never stored at zero: counts only grow)."""
-    for w, c in neg.items():
-        c = pos.get(w, 0) - c
-        if c:
-            pos[w] = c
-        else:
-            del pos[w]
-    return pos
 
 
 def factor_initial(
@@ -355,7 +344,10 @@ def subduct(
     for (u, v), step in steps[done:]:
         _count_product(pos, neg, image(u, ctx, mask), image(v, ctx, mask), step)
     unpack = polyring.x_packer(ctx).unpack
-    remainder = Polynomial({unpack(w): c for w, c in _net(pos, neg).items()})
+    # g over the keys where its two counts differ, the set that first reads
+    remainder = Polynomial(
+        {unpack(w): pos.get(w, 0) - neg.get(w, 0) for w, _ in pos.items() ^ neg.items()}
+    )
     return SubductionTrace(steps[:done], remainder, witness=unpack(first))
 
 

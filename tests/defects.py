@@ -74,12 +74,14 @@ DEFECTS = (
         ),
     ),
     Defect(
-        "_net stores a cancelled count as 0",
+        "a failed subduction's remainder reads only the positive counts",
         "straighten.py",
-        "        if c:\n            pos[w] = c\n        else:\n            del pos[w]\n",
-        "        pos[w] = c\n",
+        "{unpack(w): pos.get(w, 0) - neg.get(w, 0) for w, _ in pos.items() ^ neg.items()}",
+        "{unpack(w): pos.get(w, 0) for w, _ in pos.items() ^ neg.items()}",
         (
-            "tests/test_fast_paths.py::test_count_product_matches_polynomial_product",
+            "tests/test_fast_paths.py::test_walk_matches_running_minimum_on_failed_runs",
+            "tests/test_fast_paths.py::test_walk_matches_running_minimum_with_a_lead_dropped",
+            "tests/test_fast_paths.py::test_walk_matches_running_minimum_with_a_zero_image",
         ),
     ),
     Defect(
@@ -488,6 +490,17 @@ DEFECTS = (
             "tests/test_fast_paths.py::test_count_product_matches_polynomial_product",
             "tests/test_straighten.py::test_subduct_thirty_term_relation_steps",
             "tests/test_straighten.py::test_classical_p2_matches_oracle",
+        ),
+    ),
+    Defect(
+        "psi with its first and last rows swapped",
+        "maps.py",
+        "(XVar(i, residue(c, w), stacked_level(c, w)), 1)",
+        "(XVar(ctx.p + 1 - i if i in (1, ctx.p) else i, residue(c, w), stacked_level(c, w)), 1)",
+        (
+            "tests/test_hibi.py::test_psi_row_i_holds_young_entry_p_plus_1_minus_i[(2, 3, 1, 1)]",
+            "tests/test_hibi.py::test_masked_images_lead_at_psi_on_seeded_skew_cells",
+            "tests/test_maps.py::test_psi_closed_form_examples",
         ),
     ),
     Defect(

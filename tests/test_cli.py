@@ -221,8 +221,9 @@ def test_start_up_imports_no_worker_or_dataclass_support():
         assert str(exc.value) == message
 
 
-# the modules that only the argparse path and non-int coefficients need
-LAZY = ["argparse", "gettext", "fractions", "decimal", "numbers"]
+# the modules that only the argparse path, non-int coefficients and
+# sagbi-check's --jobs workers need
+LAZY = ["argparse", "gettext", "fractions", "decimal", "numbers", "concurrent.futures"]
 
 # in a fresh interpreter: import qgrass.cli, run argv (the words after the
 # code) unless there are none, and print as JSON the LAZY modules loaded
@@ -290,6 +291,15 @@ def test_help_usage_errors_and_other_forms_load_argparse(capsys, argv):
     before, after, *printed = _fresh_run(argv)
     assert (before, "argparse" in after) == ([], True)
     assert printed == list(_run_output(argv, capsys))
+
+
+def test_only_a_run_with_workers_loads_the_process_pool():
+    # a plain sagbi-check without --jobs is in
+    # test_a_plain_run_loads_neither_argparse_nor_fractions
+    argv = ["--p", "2", "--m", "2", "--n", "1", "sagbi-check", "--jobs", "2"]
+    code, out = run_cli(*argv)
+    before, after, *printed = _fresh_run(argv)
+    assert (before, after, printed) == ([], ["concurrent.futures"], [code, out, ""])
 
 
 def test_bad_variable_exit_code():
@@ -505,7 +515,9 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
 def eager_parser():
     """The 16 parsers written out by hand: the reference for `build_parser`,
     which builds them from the command tables."""
-    parser = cli._parser_class()(prog="qgrass", description=cli.__doc__.rpartition("\n\n")[0])
+    parser = type(cli.build_parser())(
+        prog="qgrass", description=cli.__doc__.rpartition("\n\n")[0]
+    )
     parser.add_argument("--p", type=int, required=True, help="number of matrix rows")
     parser.add_argument("--m", type=int, required=True, help="column surplus")
     parser.add_argument("--n", type=int, default=None, help="entry degree (default: ceil(q/p))")

@@ -81,7 +81,6 @@ from qgrass.straighten import (
     _count_product,
     _lead,
     _multidegree,
-    _net,
     factor_initial,
     interval_mask,
     kernel_quadrics_oracle,
@@ -689,7 +688,8 @@ def test_kernel_oracle_is_the_reduced_kernel_basis(params, interval):
 def kernel_oracle_full_rows(ctx, interval=None):
     """Reference: the kernel oracle on full rows.  Each pair of a group
     whose product leads collide gets the whole product of its two images,
-    counted by _count_product and read off by _net, and one nullspace per
+    counted by _count_product and folded into one dict int -> coefficient
+    over the keys where the two counts differ, and one nullspace per
     such group gives the relations; no column is left out, so nothing is
     certified."""
     elems = elements(ctx, interval)
@@ -707,7 +707,7 @@ def kernel_oracle_full_rows(ctx, interval=None):
         for u, v in pairs:
             pos, neg = {}, {}
             _count_product(pos, neg, signed_image(u, ctx, mask), signed_image(v, ctx, mask), 1)
-            rows.append(_net(pos, neg))
+            rows.append({w: pos.get(w, 0) - neg.get(w, 0) for w, _ in pos.items() ^ neg.items()})
         for combo in linalg.nullspace(rows, operator.neg):
             u, v = pairs[max(combo)]
             relations[at[u], at[v]] = Polynomial(
@@ -871,14 +871,14 @@ def test_count_product_matches_polynomial_product():
             pos, neg = {}, {}
             _count_product(pos, neg, a, b, c)
             assert all(n > 0 for n in itertools.chain(pos.values(), neg.values()))
-            g = _net(pos, neg)
+            g = {w: pos.get(w, 0) - neg.get(w, 0) for w, _ in pos.items() ^ neg.items()}
             assert all(g.values())
             assert Polynomial({unpack(w): k for w, k in g.items()}) == product.scale(c)
             # a product counted back out cancels every monomial
             pos, neg = {}, {}
             _count_product(pos, neg, a, b, c)
             _count_product(pos, neg, a, b, -c)
-            assert _net(pos, neg) == {}
+            assert pos == neg
 
 
 def test_subduction_reuses_the_kernel_oracles_images():

@@ -89,6 +89,8 @@ def test_degrevlex_tie_break_smallest_variable():
     b = mono(XVar(1, 2, 0), XVar(2, 1, 0))
     # smallest differing variable is x[1,1,0]; a has it, b does not
     assert X_ORDER.compare(b, a) > 0
+    # equal monomials tie at every variable
+    assert X_ORDER.compare(a, a) == 0
 
 
 def test_leading_term_of_phi_golden(ctx333):
